@@ -2,8 +2,8 @@
 
 Subcommands: solve, exact, verify, gen, search, experiment.  Instances
 travel over stdin/stdout in the text format of the formats module.
-Exit codes: 0 success/matched, 1 proven-none/none-found, 2 error,
-64 usage error.
+Exit codes: 0 success/matched, 1 proven-none/none-found, 2 error
+(including any unexpected internal exception), 64 usage error.
 """
 
 from __future__ import annotations
@@ -180,6 +180,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _COMMANDS[args.command](args)
     except (ParseError, GrinblatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except Exception as exc:
+        # an uncaught exception would exit 1, which means proven-none
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

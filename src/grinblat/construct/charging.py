@@ -63,22 +63,20 @@ def _charge_once(state: TrackState, pos: int):
     counts = [0] * (state.n + 1)
     outsiders: dict[int, list[tuple[int, int]]] = {}
     for cl in rel.classes:
-        right_members = [
-            x for x in cl if comp_of.get(x, 0) > state.extent and x in (state.comps[comp_of[x]].a, state.comps[comp_of[x]].b)
-        ]
+        target = None  # the class's lowest right-side identity member, found on first need
         for x in cl:
             if x in bprime:
                 counts[comp_of[x]] += 1
                 continue
-            targets = sorted(comp_of[y] for y in right_members)
-            if not targets:
-                raise InternalLogicError(
-                    "charge_scheme_1",
-                    f"element {x} of relation at position {pos} has no charge target; {state.digest()}",
-                )
-            p = targets[0]
+            if target is None:
+                target = state.lowest_identity_member(cl, state.extent)
+                if target is None:
+                    raise InternalLogicError(
+                        "charge_scheme_1",
+                        f"element {x} of relation at position {pos} has no charge target; {state.digest()}",
+                    )
+            p, partner = target
             counts[p] += 1
-            partner = min(y for y in right_members if comp_of[y] == p)
             outsiders.setdefault(p, []).append((x, partner))
     return counts, outsiders
 
@@ -125,10 +123,7 @@ def build_track(state: TrackState, telemetry: Optional[Telemetry] = None):
         comp = state.comps[chosen]
         c = next(x for x, part in outs if part == comp.a)
         d = next(x for x, part in outs if part == comp.b)
-        state.swap_positions(chosen, state.extent + 1)
-        newcomp = state.comps[state.extent + 1]
-        newcomp.c, newcomp.d = c, d
-        state.extent += 1
+        state.grow_track(chosen, c, d)
     if telemetry:
         telemetry.record("build_track", track_len=state.extent - 1)
     return ("track", state)
@@ -163,23 +158,25 @@ def charge_scheme_2(state: TrackState, telemetry: Optional[Telemetry] = None):
     t_partner: dict[int, int] = {}
 
     for cl in rel1.classes:
-        b_members = [x for x in cl if x in b]
+        target = None  # the class's lowest member of B, found on first need
         for x in cl:
             if x in b:
                 sigma[comp_of[x]] += 1
                 one_partner[x] = x
                 continue
-            if not b_members:
+            if target is None:
+                target = state.lowest_identity_member(cl, 1)
+            if target is None:
                 # both elements outside B: a direct pair missed earlier
                 other = next(y for y in cl if y != x)
                 m = complete_assignment(state, Overrides({1: (x, other)}))
                 if telemetry:
                     telemetry.record("charge_scheme_2", win="late_direct_pair")
                 return ("win", m)
-            p = min(comp_of[y] for y in b_members)
+            p, partner = target
             sigma[p] += 1
             S.setdefault(p, []).append(x)
-            one_partner[x] = min(y for y in b_members if comp_of[y] == p)
+            one_partner[x] = partner
 
     special: set[int] = set()
     for j in state.left_positions():
@@ -192,7 +189,7 @@ def charge_scheme_2(state: TrackState, telemetry: Optional[Telemetry] = None):
             special.update((comp.c, comp.d))
 
     for cl in relt.classes:
-        right_members = [x for x in cl if x in b and comp_of[x] > t]
+        target = None  # the class's lowest right-side member of B, found on first need
         for z in cl:
             if z in special:
                 continue
@@ -200,11 +197,13 @@ def charge_scheme_2(state: TrackState, telemetry: Optional[Telemetry] = None):
                 tau[comp_of[z]] += 1
                 t_partner[z] = z
                 continue
-            if right_members:
-                p = min(comp_of[y] for y in right_members)
+            if target is None:
+                target = state.lowest_identity_member(cl, t)
+            if target is not None:
+                p, partner = target
                 tau[p] += 1
                 T.setdefault(p, []).append(z)
-                t_partner[z] = min(y for y in right_members if comp_of[y] == p)
+                t_partner[z] = partner
                 continue
             # z is c_j or d_j and t-equivalent within its own component
             # (anything else would have been a win above)

@@ -31,16 +31,17 @@ def _try_win_fresh_pair(
     state: TrackState, ledger: ChargeLedger, i: int, telemetry: Optional[Telemetry]
 ):
     """An i-equivalent pair with both elements outside B and S_i."""
-    avoid = state.b_set | set(ledger.S.get(i, ()))
+    b = state.b_set
+    si = ledger.S.get(i, ())
     rel = state.relation_at(i)
     for cl in rel.classes:
-        free = [x for x in cl if x not in avoid]
+        free = [x for x in cl if x not in b and x not in si]
         if len(free) < 2:
             continue
         for ai in range(len(free)):
             for bi in range(ai + 1, len(free)):
                 x, y = free[ai], free[bi]
-                for u in ledger.S.get(i, ()):
+                for u in si:
                     if u in (x, y):
                         continue
                     try:
@@ -56,13 +57,17 @@ def _try_win_fresh_pair(
 
 
 def _try_win_untainted_left(
-    state: TrackState, ledger: ChargeLedger, i: int, telemetry: Optional[Telemetry]
+    state: TrackState,
+    ledger: ChargeLedger,
+    i: int,
+    tainted: set[int],
+    telemetry: Optional[Telemetry],
 ):
     """An untainted left component with an identity element i-equivalent to a
-    fresh element; relation i takes that pair and T_i pays for relation t."""
+    fresh element; relation i takes that pair and T_i pays for relation t.
+    ``tainted`` is ``tainted_left(state, ledger, i)``."""
     bprime = state.bprime_set
     ti = set(ledger.T.get(i, ()))
-    tainted = tainted_left(state, ledger, i)
     rel = state.relation_at(i)
     for j in state.left_positions():
         if j in tainted:
@@ -102,7 +107,8 @@ def charge_scheme_3(
     m = _try_win_fresh_pair(state, ledger, i, telemetry)
     if m is not None:
         return ("win", m)
-    m = _try_win_untainted_left(state, ledger, i, telemetry)
+    tainted = tainted_left(state, ledger, i)
+    m = _try_win_untainted_left(state, ledger, i, tainted, telemetry)
     if m is not None:
         return ("win", m)
 
@@ -110,35 +116,39 @@ def charge_scheme_3(
     bprime = state.bprime_set
     comp_of = state.component_of()
     ui = set(ledger.U(i))
-    si = set(ledger.S.get(i, ()))
-    tainted_ids = set()
-    for j in tainted_left(state, ledger, i):
+    skip_set = set(ledger.S.get(i, ()))
+    for j in tainted:
         comp = state.comps[j]
-        tainted_ids.update((comp.a, comp.b))
+        skip_set.update((comp.a, comp.b))
 
     counts: dict[int, int] = {}
     outsiders: dict[int, list[tuple[int, int]]] = {}
     uncharged: list[int] = []
     for cl in rel.classes:
-        right_members = [x for x in cl if comp_of.get(x, 0) > state.t]
-        skip_members = [x for x in cl if x in si or x in tainted_ids]
+        # per-class facts, each found on first need: whether the class meets
+        # S_i or a tainted identity pair, and its lowest right-side member
+        skip = target = None
         for x in cl:
             if x in ui:
                 continue
             if x in bprime:
-                counts[comp_of[x]] = counts.get(comp_of[x], 0) + 1
+                p = comp_of[x]
+                counts[p] = counts.get(p, 0) + 1
                 continue
-            if skip_members:
+            if skip is None:
+                skip = not skip_set.isdisjoint(cl)
+            if skip:
                 uncharged.append(x)
                 continue
-            if not right_members:
-                raise InternalLogicError(
-                    "charge_scheme_3",
-                    f"element {x} of relation at position {i} is dead; {state.digest()}",
-                )
-            p = min(comp_of[y] for y in right_members)
+            if target is None:
+                target = state.lowest_identity_member(cl, state.t)
+                if target is None:
+                    raise InternalLogicError(
+                        "charge_scheme_3",
+                        f"element {x} of relation at position {i} is dead; {state.digest()}",
+                    )
+            p, partner = target
             counts[p] = counts.get(p, 0) + 1
-            partner = min(y for y in right_members if comp_of[y] == p)
             outsiders.setdefault(p, []).append((x, partner))
 
     if len(uncharged) > 6:

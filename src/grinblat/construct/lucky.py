@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from ..core import Matching, kernel
+from ..core import Matching
 from ..errors import CompletionImpossible, InternalLogicError
 from .completion import complete_assignment
 from .heavy import pick_heavy_pair_elements
@@ -356,7 +356,3 @@ def final_win(
         f"no closing recipe for pair {pair} at lucky position {lucky.jstar}; {state.digest()}",
     )
 
-
-def exclusion_kernel_margin(state: TrackState, lucky: LuckyData, y: frozenset[int]) -> int:
-    """|K_{j*}| - 2|Y|; positive under the hypothesis, guaranteeing a free pair."""
-    return len(kernel(state.relation_at(lucky.jstar))) - 2 * len(y)

@@ -48,6 +48,14 @@ class TrackState:
     """Components, the index permutation, and the current track extent.
 
     Left-side positions are 2..extent; an extent of 1 means no track yet.
+
+    The derived sets ``b_set``, ``bprime_set``, ``right_set`` and the map
+    ``component_of()`` are owned by the state and must not be mutated by
+    callers.  B is fixed at construction; the other three are built on
+    first use and then kept current by ``swap_positions`` and
+    ``grow_track``, the only two ways the state changes.  The updates and
+    ``lowest_identity_member`` rely on the state's elements being pairwise
+    distinct.
     """
 
     def __init__(self, inst: Instance, perm: list[int], comps: dict[int, Component], extent: int = 1):
@@ -57,27 +65,26 @@ class TrackState:
         self.comps = comps  # position -> Component, positions 2..n
         self.extent = extent
         self.t = inst.n // 5
+        self.b_set: frozenset[int] = frozenset(
+            e for p in range(2, self.n + 1) for e in (comps[p].a, comps[p].b)
+        )
+        self._bprime: Optional[set[int]] = None
+        self._right: Optional[set[int]] = None
+        self._comp_of: Optional[dict[int, int]] = None
 
     def relation_at(self, pos: int) -> Partition:
         return self.inst.relations[self.perm[pos]]
 
     @property
-    def b_set(self) -> set[int]:
-        out: set[int] = set()
-        for p in range(2, self.n + 1):
-            c = self.comps[p]
-            out.add(c.a)
-            out.add(c.b)
-        return out
-
-    @property
     def bprime_set(self) -> set[int]:
-        out = self.b_set
-        for p in range(2, self.extent + 1):
-            c = self.comps[p]
-            out.add(c.c)
-            out.add(c.d)
-        return out
+        if self._bprime is None:
+            out = set(self.b_set)
+            for p in self.left_positions():
+                c = self.comps[p]
+                out.add(c.c)
+                out.add(c.d)
+            self._bprime = out
+        return self._bprime
 
     def right_positions(self) -> range:
         return range(self.extent + 1, self.n + 1)
@@ -87,20 +94,37 @@ class TrackState:
 
     @property
     def right_set(self) -> set[int]:
-        out: set[int] = set()
-        for p in self.right_positions():
-            c = self.comps[p]
-            out.add(c.a)
-            out.add(c.b)
-        return out
+        if self._right is None:
+            out: set[int] = set()
+            for p in self.right_positions():
+                c = self.comps[p]
+                out.add(c.a)
+                out.add(c.b)
+            self._right = out
+        return self._right
 
     def component_of(self) -> dict[int, int]:
         """Map each tracked element to its component's position."""
-        out: dict[int, int] = {}
-        for p in range(2, self.n + 1):
-            for x in self.comps[p].elements:
-                out[x] = p
-        return out
+        if self._comp_of is None:
+            out: dict[int, int] = {}
+            for p in range(2, self.n + 1):
+                for x in self.comps[p].elements:
+                    out[x] = p
+            self._comp_of = out
+        return self._comp_of
+
+    def lowest_identity_member(self, cl: tuple[int, ...], above: int) -> Optional[tuple[int, int]]:
+        """(position, element) of the lowest identity element (member of B)
+        in class ``cl`` whose component sits past position ``above``; ties in
+        position go to the smaller element.  None if there is none."""
+        comp_of = self.component_of()
+        best = None
+        for y in cl:  # classes are sorted, so the first hit per position is its least
+            if y in self.b_set:
+                p = comp_of[y]
+                if p > above and (best is None or p < best[0]):
+                    best = (p, y)
+        return best
 
     def swap_positions(self, p: int, q: int) -> None:
         """Exchange the components (and relation bindings) at two positions."""
@@ -110,6 +134,29 @@ class TrackState:
         cp, cq = self.comps[p], self.comps[q]
         cp.pos, cq.pos = q, p
         self.comps[p], self.comps[q] = cq, cp
+        if self._comp_of is not None:
+            for x in cp.elements:
+                self._comp_of[x] = q
+            for x in cq.elements:
+                self._comp_of[x] = p
+        if (p <= self.extent) != (q <= self.extent):
+            # a swap across the track boundary (the solver makes none) drops
+            # the two side-dependent sets; they are rebuilt on next use
+            self._right = self._bprime = None
+
+    def grow_track(self, pos: int, c: int, d: int) -> None:
+        """Move the right-side component at ``pos`` to the end of the track
+        and give it the cross pair (c, d)."""
+        self.swap_positions(pos, self.extent + 1)
+        self.extent += 1
+        comp = self.comps[self.extent]
+        comp.c, comp.d = c, d
+        if self._comp_of is not None:
+            self._comp_of[c] = self._comp_of[d] = self.extent
+        if self._right is not None:
+            self._right.difference_update((comp.a, comp.b))
+        if self._bprime is not None:
+            self._bprime.update((c, d))
 
     def digest(self) -> str:
         """Short fingerprint for InternalLogicError payloads."""

@@ -120,10 +120,6 @@ class VerifyReport:
     index: Optional[int] = None
 
 
-def class_of(p: Partition, x: int) -> set[int]:
-    return set(p.class_of(x))
-
-
 def verify_matching(inst: Instance, m: Matching) -> VerifyReport:
     """Check distinctness first, then per-relation equivalence, in index order."""
     if len(m.pairs) != inst.n:

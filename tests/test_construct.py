@@ -11,6 +11,7 @@ from grinblat.construct import (
     LuckyData,
     Overrides,
     Telemetry,
+    TrackState,
     build_track,
     charge_scheme_2,
     charge_scheme_3,
@@ -183,6 +184,62 @@ class TestBuildTrack:
         for pos in range(1, inst2.n + 1):
             remapped[state.perm[pos]] = payload.pairs[pos - 1]
         assert verify_matching(inst2, Matching(remapped)).valid
+
+
+# ---------------------------------------------------------------- track state
+
+
+def _assert_sets_current(state):
+    """The maintained derived sets equal a rebuild from comps and extent."""
+    comps = state.comps
+    assert all(comps[p].pos == p for p in comps)
+    b = {e for p in range(2, state.n + 1) for e in (comps[p].a, comps[p].b)}
+    cross = {e for p in state.left_positions() for e in (comps[p].c, comps[p].d)}
+    right = {e for p in state.right_positions() for e in (comps[p].a, comps[p].b)}
+    comp_of = {x: p for p in range(2, state.n + 1) for x in comps[p].elements}
+    assert state.b_set == b
+    assert state.bprime_set == b | cross
+    assert state.right_set == right
+    assert state.component_of() == comp_of
+
+
+class TestTrackStateSets:
+    @pytest.mark.parametrize("n, c, seed", [(30, 0, 2), (60, 20, 5), (100, 32, 1)])
+    def test_sets_follow_build_track(self, monkeypatch, n, c, seed):
+        inst, sub = gen_planted_concentrated(n, c, seed)
+        state = _initial_state(inst, sub, 0)
+        _assert_sets_current(state)  # builds the lazy sets before the track grows
+        grow = TrackState.grow_track
+        steps = []
+
+        def checked_grow(self, pos, c, d):
+            grow(self, pos, c, d)
+            _assert_sets_current(self)
+            steps.append(pos)
+
+        monkeypatch.setattr(TrackState, "grow_track", checked_grow)
+        kind, state = build_track(state)
+        assert kind == "track"
+        assert len(steps) == state.t - 1
+        comp_of = state.component_of()
+        for cl in state.relation_at(1).classes:
+            members = [
+                (comp_of[y], y)
+                for y in cl
+                if comp_of.get(y, 0) > state.extent
+                and y in (state.comps[comp_of[y]].a, state.comps[comp_of[y]].b)
+            ]
+            expected = min(members) if members else None
+            assert state.lowest_identity_member(cl, state.extent) == expected
+
+    def test_swaps_keep_sets_current(self):
+        state, _ = base_state()
+        _assert_sets_current(state)
+        t = state.t
+        # within the right side, within the track, across it and back, and a no-op
+        for p, q in ((t + 1, state.n), (2, t), (3, t + 2), (t + 2, 3), (5, 5)):
+            state.swap_positions(p, q)
+            _assert_sets_current(state)
 
 
 # ------------------------------------------------------------- charge schemes

@@ -145,6 +145,14 @@ class TestCli:
         path = self._write(tmp_path, "bad.txt", b"not a header\n")
         assert cli.main(["solve", path]) == 2
 
+    def test_unexpected_exception_exit_2(self, monkeypatch, capsys):
+        def boom(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli._COMMANDS, "exact", boom)
+        assert cli.main(["exact"]) == 2
+        assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+
     def test_experiment_subcommand(self, tmp_path, capsys):
         cfg = {
             "master_seed": 1,
