@@ -8,22 +8,30 @@ left-side component.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import AbstractSet, Optional
 
-from ..core import Matching, kernel
+from ..core import Matching, Partition, kernel
 from ..errors import CompletionImpossible, InternalLogicError
 from .completion import complete_assignment
 from .state import ChargeLedger, Component, Overrides, Telemetry, TrackState
 
 
+def direct_pair(rel: Partition, used: AbstractSet[int]) -> Optional[tuple[int, int]]:
+    """The two lowest elements outside ``used`` of the first class, in class
+    order, that has two such elements; None if no class has."""
+    for cl in rel.classes:
+        first = None
+        for x in cl:
+            if x not in used:
+                if first is not None:
+                    return (first, x)
+                first = x
+    return None
+
+
 def try_direct_pair(state: TrackState) -> Optional[tuple[int, int]]:
     """Two distinct 1-equivalent elements avoiding B, lowest pair if any."""
-    b = state.b_set
-    for cl in state.relation_at(1).classes:
-        free = [x for x in cl if x not in b]
-        if len(free) >= 2:
-            return (free[0], free[1])
-    return None
+    return direct_pair(state.relation_at(1), state.b_set)
 
 
 def _excluded(comp_of: dict[int, int], state: TrackState, x: int, y: int) -> bool:
@@ -286,18 +294,16 @@ def _validate_ledger(state: TrackState, ledger: ChargeLedger) -> None:
                 )
 
 
-def heavy_indices(
-    state: TrackState, ledger: ChargeLedger, c: int, hypothesis_holds: bool
-) -> list[int]:
+def heavy_indices(state: TrackState, ledger: ChargeLedger, c: int) -> list[int]:
     """Right-side heavy positions, with the counting checks of the argument."""
     heavy_all = ledger.heavy_left() + ledger.heavy_right()
-    if hypothesis_holds and 5 * len(heavy_all) < state.n + 5 * c:
+    if 5 * len(heavy_all) < state.n + 5 * c:
         raise InternalLogicError(
             "heavy_indices",
             f"{len(heavy_all)} heavy components < n/5 + c = {state.n / 5 + c}",
         )
     h = ledger.heavy_right()
-    if hypothesis_holds and 5 * len(h) < state.n + 5 * (c - 4):
+    if 5 * len(h) < state.n + 5 * (c - 4):
         raise InternalLogicError(
             "heavy_indices",
             f"{len(h)} right-side heavy components < n/5 + c - 4",

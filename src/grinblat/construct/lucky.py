@@ -27,7 +27,6 @@ def find_lucky(
     ledger: ChargeLedger,
     tables: dict[int, ChargeTable],
     c: int,
-    hypothesis_holds: bool,
 ) -> LuckyData:
     """Pick the right-side component with the most four-charge heavy indices."""
     heavy = sorted(tables)
@@ -39,7 +38,7 @@ def find_lucky(
     if best_pos is None:
         raise InternalLogicError("find_lucky", "no right-side positions")
     full = [i for i in heavy if tables[i].get(best_pos, (0, ()))[0] == 4]
-    if hypothesis_holds and 4 * len(full) < c - 10:
+    if 4 * len(full) < c - 10:
         raise InternalLogicError(
             "find_lucky",
             f"lucky component at {best_pos} has {len(full)} four-charge indices < (c-10)/4",

@@ -2,8 +2,11 @@
 
 extend_matching runs the phase pipeline for a single new relation:
 direct pair, track construction, 1-/t-charging, heavy analysis, lucky
-analysis, final win.  solve() realizes the induction iteratively, feeding
-relations in one at a time with the newest playing the role of relation 1.
+analysis, final win.  solve() realizes the induction iteratively, adding
+relations one at a time.  Most steps are the trivial direct-pair case (the
+new relation has two equivalent elements outside the matching so far), so
+solve() runs one greedy pass and calls extend_matching, with the new
+relation playing relation 1, only at a relation where greedy gets stuck.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from ..oracle import SolveResult, exact_solve
 from .charging import (
     build_track,
     charge_scheme_2,
+    direct_pair,
     heavy_indices,
     try_direct_pair,
     try_five_heavy_left_win,
@@ -126,8 +130,7 @@ def extend_matching(
     if m is not None:
         return _finish(state, m)
 
-    hypothesis_holds = mk >= bound
-    heavy = heavy_indices(state, ledger, c, hypothesis_holds)
+    heavy = heavy_indices(state, ledger, c)
     tables = {}
     for i in heavy:
         kind, payload = charge_scheme_3(state, ledger, i, telemetry)
@@ -137,7 +140,7 @@ def extend_matching(
     if telemetry:
         telemetry.record("charge_scheme_3", heavy=len(heavy))
 
-    lucky = find_lucky(state, ledger, tables, c, hypothesis_holds)
+    lucky = find_lucky(state, ledger, tables, c)
     lucky = select_nonconflicting(state, lucky, c)
     lucky, compat = find_compatible_pair(state, ledger, lucky, c)
     y = exclusion_set(state, ledger, lucky)
@@ -170,7 +173,23 @@ def solve(
     exact_budget: int = 10_000_000,
 ) -> SolveResult:
     """Top-level dispatcher: constructive pipeline when the hypothesis and
-    size threshold hold, exact search otherwise."""
+    size threshold hold, exact search otherwise.
+
+    The constructive pipeline is one greedy pass over the relations in
+    order: relation k takes the two lowest elements outside the pairs so
+    far of its first class that has two such elements (try_direct_pair's
+    choice).  Only where no class has two, extend_matching re-matches the
+    prefix 0..k, and the pass goes on from its output.  Kernels larger than
+    4(n-1) never get stuck: a relation with no class holding two free
+    elements has at most two kernel elements per used one.
+
+    Once the full instance passes the hypothesis, every prefix does (its
+    kernels are the same, its bound smaller), so greedy steps skip the
+    per-step check and verification; the final matching is verified here.
+    The output equals running extend_matching at every step: that step's
+    direct-pair completion returns the earlier pairs sorted, so pairs that
+    come back from extend_matching are sorted before the next step.
+    """
     n = inst.n
     if n == 0:
         return SolveResult("matched", Matching([]))
@@ -180,14 +199,22 @@ def solve(
         return exact_solve(inst, budget=exact_budget)
 
     pairs: dict[int, tuple[int, int]] = {}
-    for k in range(n):
-        step_inst = Instance(inst.ground_size, inst.relations[: k + 1])
-        if k == 0:
-            cl = inst.relations[0].classes[0]
-            pairs[0] = (cl[0], cl[1])
+    used: set[int] = set()
+    for k, rel in enumerate(inst.relations):
+        pair = direct_pair(rel, used)
+        if pair is not None:
+            if k and telemetry:
+                telemetry.record("direct_pair", win="direct_pair", pair=pair)
+            pairs[k] = pair
+            used.update(pair)
             continue
+        step_inst = Instance(inst.ground_size, inst.relations[: k + 1])
         m = extend_matching(step_inst, pairs, new_rel=k, c=c, telemetry=telemetry)
-        pairs = {i: m.pairs[i] for i in range(k + 1)}
+        if k < n - 1:
+            pairs = {i: tuple(sorted(p)) for i, p in enumerate(m.pairs)}
+        else:
+            pairs = dict(enumerate(m.pairs))
+        used = {e for p in pairs.values() for e in p}
     final = Matching([pairs[i] for i in range(n)])
     report = verify_matching(inst, final)
     if not report.valid:

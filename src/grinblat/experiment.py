@@ -2,23 +2,21 @@
 output.
 
 Per-trial seeds derive from the master seed through a fixed splitmix-style
-mix, so a sweep is reproducible no matter how trials are scheduled.
-Parallelism is capped by the GRINBLAT_THREADS environment variable
-(0 or unset means auto); rows are merged in trial order.
+mix, so a sweep is reproducible.  Trials run one after another in trial
+order: they are pure Python, so threads only add contention.  A trial that
+fails on its input is recorded as a row outcome and the sweep goes on.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Union
 
 from .construct import Telemetry, extend_matching, solve
 from .core import min_kernel
-from .errors import GrinblatError, InternalLogicError
+from .errors import CompletionImpossible, GrinblatError, HypothesisViolation, InternalLogicError
 from .gen import gen_planted_concentrated, gen_random_hypothesis
 
 CSV_HEADER = "seed,n,c,min_kernel,outcome,phase_reached,wall_nanos,node_count"
@@ -122,35 +120,21 @@ def _run_trial(cfg: ExperimentConfig, index: int, gen_name: str, n: int, c: int)
             res.node_count = solved.nodes
     except InternalLogicError:
         res.outcome = "logic-error"
+    except HypothesisViolation:
+        res.outcome = "hypothesis-violation"
+    except CompletionImpossible:
+        res.outcome = "completion-impossible"
+    except ValueError:
+        res.outcome = "invalid-input"
     if cfg.measure_time:
         res.wall_nanos = time.perf_counter_ns() - start
     res.phase_reached = tel.phase_reached
     return res
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("GRINBLAT_THREADS", "0")
-    try:
-        val = int(raw)
-    except ValueError:
-        val = 0
-    if val <= 0:
-        return min(8, os.cpu_count() or 1)
-    return val
-
-
 def run_experiment(cfg: ExperimentConfig) -> str:
     """Run every trial and return the CSV report (rows, then '#' summaries)."""
-    work = list(_cells(cfg))
-    threads = _thread_count()
-    if threads > 1 and len(work) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(lambda w: _run_trial(cfg, *w), work)
-            )
-    else:
-        results = [_run_trial(cfg, *w) for w in work]
-    results.sort(key=lambda r: r.index)
+    results = [_run_trial(cfg, *w) for w in _cells(cfg)]
     lines = [CSV_HEADER]
     lines.extend(r.row() for r in results)
     lines.extend(_summaries(cfg, results))

@@ -179,13 +179,13 @@ def _deep_pipeline_artifacts():
     kind, ledger = charge_scheme_2(state)
     assert kind == "ledger"
     assert try_five_heavy_left_win(state, ledger) is None
-    heavy = heavy_indices(state, ledger, 32, hypothesis_holds=True)
+    heavy = heavy_indices(state, ledger, 32)
     tables = {}
     for i in heavy:
         kind, payload = charge_scheme_3(state, ledger, i)
         assert kind == "table"
         tables[i] = payload
-    lucky = find_lucky(state, ledger, tables, 32, hypothesis_holds=True)
+    lucky = find_lucky(state, ledger, tables, 32)
     lucky = select_nonconflicting(state, lucky, 32)
     lucky, compat = find_compatible_pair(state, ledger, lucky, 32)
     return inst, state, ledger, heavy, tables, lucky, compat

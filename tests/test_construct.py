@@ -448,7 +448,7 @@ class TestLuckyAnalysis:
             tables[i] = {20: mk(20, i)}
         for i in (10, 11, 12, 13, 14):
             tables[i] = {21: mk(21, i)}
-        lucky = find_lucky(state, ledger, tables, c=18, hypothesis_holds=False)
+        lucky = find_lucky(state, ledger, tables, c=18)
         assert lucky.jstar == 21
         # ceil((18-10)/4) = 2 lowest four-charge indices survive
         assert lucky.hprime == (10, 11)
@@ -458,8 +458,8 @@ class TestLuckyAnalysis:
         state, ledger = base_state()
         bad = state.comps[2].a
         tables = {7: {20: (4, ((bad, state.comps[20].a), (950, state.comps[20].b)))}}
-        with pytest.raises(InternalLogicError):
-            find_lucky(state, ledger, tables, c=14, hypothesis_holds=False)
+        with pytest.raises(InternalLogicError, match="meets B'"):
+            find_lucky(state, ledger, tables, c=14)
 
     def test_exclusion_bound_violation_detected(self):
         state, ledger, W = fixtures.jstar_unlucky()
@@ -538,7 +538,7 @@ class TestExtendMatching:
         assert kind == "track"
         kind, ledger = charge_scheme_2(state)
         assert kind == "ledger"
-        h = heavy_indices(state, ledger, c=32, hypothesis_holds=True)
+        h = heavy_indices(state, ledger, c=32)
         assert 5 * (len(h) + len(ledger.heavy_left())) >= state.n + 5 * 32
 
 

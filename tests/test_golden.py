@@ -1,18 +1,25 @@
-"""Pinned outputs of the constructive extension step.
+"""Pinned outputs of the constructive solver and the experiment report.
 
-Each digest is the sha256 of ``write_matching(extend_matching(...))`` on a
-generated instance, so any change to a phase's choices shows up here even
-when the new matching is still valid.  A change that alters a matching on
-purpose must say why and update the digest.
+Each digest is the sha256 of a written matching, telemetry event list or
+CSV report on a generated instance, so any change to a phase's choices
+shows up here even when the new matching is still valid.  A change that
+alters an output on purpose must say why and update the digest.
 """
 
 import hashlib
+import json
 
 import pytest
 
-from grinblat.construct import Telemetry, extend_matching
+from grinblat.construct import Telemetry, extend_matching, solve
+from grinblat.core import Instance, Partition
+from grinblat.experiment import ExperimentConfig, run_experiment
 from grinblat.formats import write_matching
-from grinblat.gen import gen_planted_concentrated
+from grinblat.gen import gen_planted_concentrated, gen_random_hypothesis
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 GOLDEN = [
     # (n, c, seed, win branch, sha256)
@@ -31,4 +38,46 @@ def test_planted_matching_digest(n, c, seed, branch, digest):
     tel = Telemetry()
     m = extend_matching(inst, sub, new_rel=0, c=c, telemetry=tel)
     assert tel.win_branch == branch
-    assert hashlib.sha256(write_matching(m)).hexdigest() == digest
+    assert _sha(write_matching(m)) == digest
+
+
+SOLVE_GOLDEN = [
+    # (n, c, seed, sha256 of the matching, sha256 of the telemetry events as JSON)
+    (30, 5000, 1, "5f874947b780ac62e893cc80febeedae5c922dacb9ef1052d447763b439dbbdf", "55e1cbca2883c9688d90b41429b278a037b3efd694876a0f6a04fe3fd0dbb6ab"),
+    (30, 5000, 2, "99d8fcfb7d7b9fca7fbd66ab7ebe809bd585f48a9293f37e8396f647995eaf43", "df3a542a2d15798eecf333a61fd8b62949b0081e244abfb8efac2582e457f0ed"),
+    (30, 5000, 3, "91073f8ee59cc970fb07b783fe245b84b3b94712a799f427e78bc7bffca3efef", "dd7ca6faf7a6cc2ca30e40a1853134efcd38dc89e88ddc45c62b1f355c488e48"),
+    (30, 8, 1, "2adb5ac00e2aa037adf2e23479f0ca289e9665e390d8aced71fb6218e65f7b88", "5f5a22ff090778eea054d38a6ba700e393c34a27598c8ac0d0a191a7e78215f2"),
+    (30, 8, 2, "fc1c2e5aac78e7d8c0a12780816c88aa6a996afcd692cdf7c6d80a7c7c96b9bd", "865e3b3ca7d293e100e74de02dd0634193b664dac32a9835b403ccbca87a6f0e"),
+    (30, 8, 3, "1780ed610ca05fa2e4e9d3a0d9522a3be2d095fe6b0f2778f6f161138fa661ed", "3e863a906db1eec07ec60c142ba8669dc1a81208428e2eeb8e0fb4b39b5765fc"),
+]
+
+
+@pytest.mark.parametrize("n, c, seed, digest, events_digest", SOLVE_GOLDEN)
+def test_uniform_solve_digest(n, c, seed, digest, events_digest):
+    tel = Telemetry()
+    res = solve(gen_random_hypothesis(n, c, seed), c=c, telemetry=tel)
+    assert tel.phases() == ["direct_pair"] * (n - 1) + ["solved"]
+    assert _sha(write_matching(res.matching)) == digest
+    assert _sha(json.dumps(tel.events).encode()) == events_digest
+
+
+def test_sweep_report_digest():
+    cfg = ExperimentConfig(master_seed=1, ns=(30,), cs=(8, 32), trials=2)
+    out = run_experiment(cfg)
+    assert _sha(out.encode()) == "b03a9f51a696974f067993b626b89c37a1a3df51cadd26dd93917c9c0e7cbd67"
+
+
+def test_mixed_greedy_and_extension_path():
+    # Greedy pairs relation 1 as (2, 3), which leaves relation 2 no free
+    # pair; extend_matching's exact fallback re-matches relations 0-2, and
+    # greedy finishes relation 3.
+    inst = Instance(10, [
+        Partition([(0, 1, 2)]),
+        Partition([(0, 1, 2, 3), (8, 9)]),
+        Partition([(0, 2), (1, 3)]),
+        Partition([(4, 5), (6, 7)]),
+    ])
+    tel = Telemetry()
+    res = solve(inst, c=-100, n_min=1, telemetry=tel)
+    assert tel.phases() == ["direct_pair", "exact_fallback", "direct_pair", "solved"]
+    assert res.matching.pairs == ((0, 2), (8, 9), (1, 3), (4, 5))

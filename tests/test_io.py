@@ -1,7 +1,6 @@
 """File format, CLI, and experiment harness tests."""
 
 import json
-import os
 
 import pytest
 
@@ -201,20 +200,15 @@ class TestExperiment:
         cfg = self._cfg()
         assert run_experiment(cfg) == run_experiment(cfg)
 
-    def test_byte_identical_across_thread_counts(self):
-        cfg = self._cfg()
-        old = os.environ.get("GRINBLAT_THREADS")
-        try:
-            os.environ["GRINBLAT_THREADS"] = "1"
-            serial = run_experiment(cfg)
-            os.environ["GRINBLAT_THREADS"] = "4"
-            parallel = run_experiment(cfg)
-        finally:
-            if old is None:
-                os.environ.pop("GRINBLAT_THREADS", None)
-            else:
-                os.environ["GRINBLAT_THREADS"] = old
-        assert serial == parallel
+    def test_failed_trials_become_row_outcomes(self):
+        # the planted generator needs n >= 10; the sweep records the
+        # ValueError per trial instead of aborting
+        out = run_experiment(self._cfg(ns=(5,), trials=2, generators=("planted",)))
+        lines = out.strip().split("\n")
+        rows = [l.split(",") for l in lines[1:] if not l.startswith("#")]
+        assert [r[4] for r in rows] == ["invalid-input", "invalid-input"]
+        assert [r[5] for r in rows] == ["none", "none"]
+        assert lines[-1] == "# cell generator=planted n=5 c=8 success=0/2 phases[none:2]"
 
     def test_measure_time_populates_wall_nanos(self):
         out = run_experiment(self._cfg(trials=1, generators=("planted",), measure_time=True))
