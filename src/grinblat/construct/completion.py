@@ -5,10 +5,12 @@ of relations get explicitly chosen pairs, and the rest fall back to their
 component's identity pair or, for relations under the track, to one of the
 two cross pairs of the component above them.  Rather than hand-coding each
 chain-shift diagram, we pin the explicit pairs as overrides and search the
-remaining <= 3 options per relation depth-first.
+remaining <= 3 options per relation depth-first, on an explicit stack.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 from ..core import Matching
 from ..errors import CompletionImpossible
@@ -53,25 +55,29 @@ def complete_assignment(state: TrackState, ov: Overrides) -> Matching:
             consumed.add(e)
 
     result: dict[int, tuple[int, int]] = dict(assigned)
-
-    def rec(pos: int) -> bool:
-        if pos == 0:
-            return True
-        if pos in assigned:
-            return rec(pos - 1)
-        for x, y in _options(state, pos):
+    free = [pos for pos in range(state.n, 0, -1) if pos not in assigned]
+    # depth-first over the free positions, highest first; options[d] holds
+    # the untried pairs of free[d], and free[d] has a pair in result while
+    # the search is below it
+    options: list[Iterator[tuple[int, int]]] = []
+    d = 0
+    while d < len(free):
+        if d == len(options):
+            options.append(iter(_options(state, free[d])))
+        else:  # back from a dead end below: release free[d]'s pair
+            consumed.difference_update(result.pop(free[d]))
+        for x, y in options[d]:
             if x not in consumed and y not in consumed:
                 consumed.add(x)
                 consumed.add(y)
-                result[pos] = (x, y)
-                if rec(pos - 1):
-                    return True
-                consumed.discard(x)
-                consumed.discard(y)
-        return False
-
-    if not rec(state.n):
-        raise CompletionImpossible(
-            f"no completion under overrides {sorted(assigned)}; {state.digest()}"
-        )
+                result[free[d]] = (x, y)
+                d += 1
+                break
+        else:
+            options.pop()
+            d -= 1
+            if d < 0:
+                raise CompletionImpossible(
+                    f"no completion under overrides {sorted(assigned)}; {state.digest()}"
+                )
     return Matching([result[p] for p in range(1, state.n + 1)])

@@ -31,13 +31,13 @@ def _try_win_fresh_pair(
     state: TrackState, ledger: ChargeLedger, i: int, telemetry: Optional[Telemetry]
 ):
     """An i-equivalent pair with both elements outside B and S_i."""
-    b = state.b_set
     si = ledger.S.get(i, ())
     rel = state.relation_at(i)
+    outside = kernel(rel).difference(state.b_set, si)
     for cl in rel.classes:
-        free = [x for x in cl if x not in b and x not in si]
-        if len(free) < 2:
+        if len(outside.intersection(cl)) < 2:
             continue
+        free = [x for x in cl if x in outside]
         for ai in range(len(free)):
             for bi in range(ai + 1, len(free)):
                 x, y = free[ai], free[bi]

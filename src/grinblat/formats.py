@@ -17,7 +17,14 @@ _HEADER = "grinblat 1"
 
 
 def _lines(data: Union[bytes, str]) -> list[tuple[int, str]]:
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    if isinstance(data, bytes):
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            no = data.count(b"\n", 0, exc.start) + 1
+            raise ParseError(no, f"invalid UTF-8 at byte {exc.start}") from None
+    else:
+        text = data
     out = []
     for no, raw in enumerate(text.split("\n"), start=1):
         stripped = raw.split("#", 1)[0].strip()

@@ -1,7 +1,9 @@
 """Exact ground-truth solvers.
 
-exact_solve is a plain backtracking search over per-relation pair choices,
-used to certify matchings and non-matchings at small scale.
+exact_solve is a backtracking search over per-relation pair choices, used
+to certify matchings and non-matchings at small scale.  It runs on an
+explicit stack, so its depth has no limit, and each node narrows its
+parent's available-pair lists instead of rebuilding them.
 search_unmatchable hunts for extremal witnesses: instances whose kernels
 all reach a target size yet admit no rainbow matching.
 """
@@ -15,7 +17,6 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .core import Instance, Matching, Partition, kernel
-from .errors import GrinblatError
 
 
 @dataclass(frozen=True)
@@ -23,10 +24,6 @@ class SolveResult:
     outcome: str  # "matched", "proven-none", or "budget"
     matching: Optional[Matching] = None
     nodes: int = 0
-
-
-class _BudgetExhausted(GrinblatError):
-    pass
 
 
 def _pairs_of(p: Partition) -> list[tuple[int, int]]:
@@ -41,7 +38,8 @@ def exact_solve(inst: Instance, budget: Optional[int] = None) -> SolveResult:
     """Backtracking search; fail-first relation order, deterministic.
 
     A node is one attempted pair assignment.  Budget exhaustion is reported
-    as an outcome, never an error.
+    as an outcome, never an error.  The search runs on an explicit stack,
+    so its depth is not bounded by Python's recursion limit.
     """
     n = inst.n
     if n == 0:
@@ -49,45 +47,44 @@ def exact_solve(inst: Instance, budget: Optional[int] = None) -> SolveResult:
     pair_lists = [_pairs_of(p) for p in inst.relations]
     if any(not pl for pl in pair_lists):
         return SolveResult("proven-none", None, 0)
-    used: set[int] = set()
-    chosen: dict[int, tuple[int, int]] = {}
+    kernels = [kernel(p) for p in inst.relations]
+    chosen: list[Optional[tuple[int, int]]] = [None] * n
     nodes = 0
 
-    def rec() -> bool:
-        nonlocal nodes
-        open_rels = [i for i in range(n) if i not in chosen]
-        if not open_rels:
-            return True
-        # fail-first: the relation with the fewest available pairs
-        best_i, best_avail = -1, None
-        for i in open_rels:
-            avail = [
-                (a, b) for a, b in pair_lists[i] if a not in used and b not in used
-            ]
-            if best_avail is None or len(avail) < len(best_avail):
-                best_i, best_avail = i, avail
-                if not avail:
-                    break
-        for a, b in best_avail:  # type: ignore[union-attr]
-            nodes += 1
-            if budget is not None and nodes > budget:
-                raise _BudgetExhausted()
-            used.add(a)
-            used.add(b)
-            chosen[best_i] = (a, b)
-            if rec():
-                return True
-            del chosen[best_i]
-            used.discard(a)
-            used.discard(b)
-        return False
+    # A frame holds the open relations in index order with their available
+    # pairs, the position of the fail-first relation (the first with the
+    # fewest pairs) and an iterator over that relation's pairs.  A child
+    # shares every list its pair leaves alone with its parent.
+    def frame(ids: list[int], avail: list[list[tuple[int, int]]]):
+        lens = [len(pl) for pl in avail]
+        k = lens.index(min(lens))
+        return ids, avail, k, iter(avail[k])
 
-    try:
-        ok = rec()
-    except _BudgetExhausted:
-        return SolveResult("budget", None, nodes)
-    if ok:
-        return SolveResult("matched", Matching([chosen[i] for i in range(n)]), nodes)
+    stack = [frame(list(range(n)), pair_lists)]
+    while stack:
+        ids, avail, k, pairs = stack[-1]
+        pair = next(pairs, None)
+        if pair is None:
+            stack.pop()
+            continue
+        nodes += 1
+        if budget is not None and nodes > budget:
+            return SolveResult("budget", None, nodes)
+        chosen[ids[k]] = pair
+        if len(ids) == 1:
+            return SolveResult("matched", Matching(chosen), nodes)
+        a, b = pair
+        child_ids = ids[:k] + ids[k + 1 :]
+        child = avail[:k] + avail[k + 1 :]
+        for pos, j in enumerate(child_ids):
+            if a in kernels[j] or b in kernels[j]:
+                pl = [q for q in child[pos] if a not in q and b not in q]
+                if not pl:
+                    # fail-first would pick this relation and try nothing
+                    break
+                child[pos] = pl
+        else:
+            stack.append(frame(child_ids, child))
     return SolveResult("proven-none", None, nodes)
 
 
@@ -209,24 +206,32 @@ def _search_pass(n, kernel_target, max_ground, budget, rng, certify, node_count)
 
 
 def _dfs_relations(n, ground, rel1, candidates, budget, certify, node_count):
-    chosen: list[Partition] = [rel1]
-
-    def rec(start: int) -> Optional[Instance]:
-        if len(chosen) == n:
-            return certify(list(chosen), ground)
-        for idx in range(start, len(candidates)):
-            if node_count() >= budget:
-                return None
-            chosen.append(Partition(candidates[idx]))
-            found = rec(idx)
-            if found is not None:
-                return found
-            chosen.pop()
-        return None
-
+    """Certify every nondecreasing choice of candidates for relations 2..n,
+    depth-first on an explicit stack; the first witness found is returned."""
     if n == 1:
         return certify([rel1], ground)
-    return rec(0)
+    chosen: list[Partition] = [rel1]
+    # starts[d]: the next candidate index for relation d + 2
+    starts = [0]
+    while starts:
+        idx = starts[-1]
+        if idx == len(candidates):
+            starts.pop()
+            if starts:
+                chosen.pop()
+            continue
+        if node_count() >= budget:
+            return None
+        starts[-1] = idx + 1
+        chosen.append(Partition(candidates[idx]))
+        if len(chosen) < n:
+            starts.append(idx)
+            continue
+        found = certify(list(chosen), ground)
+        if found is not None:
+            return found
+        chosen.pop()
+    return None
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,17 @@
-"""Pinned outputs of the constructive solver and the experiment report.
+"""Pinned outputs of the constructive solver, the exact oracles and the
+experiment report.
 
 Each digest is the sha256 of a written matching, telemetry event list or
 CSV report on a generated instance, so any change to a phase's choices
-shows up here even when the new matching is still valid.  A change that
-alters an output on purpose must say why and update the digest.
+shows up here even when the new matching is still valid.  The oracle pins
+hold exact_solve's outcome, node count and matching, so a rewrite of the
+search must visit the same nodes in the same order.  A change that alters
+an output on purpose must say why and update the digest.
 """
 
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -15,7 +19,9 @@ from grinblat.construct import Telemetry, extend_matching, solve
 from grinblat.core import Instance, Partition
 from grinblat.experiment import ExperimentConfig, run_experiment
 from grinblat.formats import write_matching
-from grinblat.gen import gen_planted_concentrated, gen_random_hypothesis
+from grinblat.gen import gen_lower_bound_family, gen_planted_concentrated, gen_random_hypothesis
+from grinblat.oracle import exact_solve, search_unmatchable
+from test_oracle import _random_small_instance
 
 
 def _sha(data: bytes) -> str:
@@ -81,3 +87,41 @@ def test_mixed_greedy_and_extension_path():
     res = solve(inst, c=-100, n_min=1, telemetry=tel)
     assert tel.phases() == ["direct_pair", "exact_fallback", "direct_pair", "solved"]
     assert res.matching.pairs == ((0, 2), (8, 9), (1, 3), (4, 5))
+
+
+def test_exact_solve_random_digest():
+    # (outcome, nodes, matching) on seeded random small instances, each under
+    # no budget, a budget that usually runs out and one that sometimes does
+    rng = random.Random(20261018)
+    lines = []
+    for _ in range(300):
+        inst = _random_small_instance(rng)
+        for budget in (None, 3, 50):
+            res = exact_solve(inst, budget=budget)
+            pairs = None if res.matching is None else res.matching.pairs
+            lines.append(repr((res.outcome, res.nodes, pairs)))
+    assert _sha("\n".join(lines).encode()) == "7a6eb6cd728e7dc270b9dd95cc8c8ee6bda81a8401c366514ae2a7e72f41ac55"
+
+
+def test_exact_solve_lower_bound_family_nodes():
+    got = {}
+    for n in range(2, 7):
+        res = exact_solve(gen_lower_bound_family(n))
+        assert res.outcome == "proven-none" and res.matching is None
+        got[n] = res.nodes
+    assert got == {2: 3, 3: 24, 4: 225, 5: 2712, 6: 40695}
+    # a budget stops the search one node past it
+    res = exact_solve(gen_lower_bound_family(5), budget=50)
+    assert (res.outcome, res.nodes, res.matching) == ("budget", 51, None)
+
+
+def test_search_unmatchable_witness():
+    res = search_unmatchable(3, 8, 12, budget=2_000_000)
+    assert res.nodes == 29_205
+    assert not res.exhausted
+    assert res.ground_size == 8
+    assert [p.classes for p in res.witness.relations] == [
+        ((0, 1), (2, 3), (4, 5), (6, 7)),
+        ((0, 2), (1, 3), (4, 6), (5, 7)),
+        ((0, 3), (1, 2), (4, 7), (5, 6)),
+    ]

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grinblat import cli
 from grinblat.core import Instance, Matching, Partition
@@ -71,6 +73,35 @@ class TestInstanceFormat:
     def test_non_integer(self):
         with pytest.raises(ParseError):
             parse_instance("grinblat 1 1 4\nrel 0 1\n0 x\n")
+
+    def test_invalid_utf8_names_its_line(self):
+        with pytest.raises(ParseError) as exc:
+            parse_instance(b"grinblat 1 1 4\nrel 0 1\n0 \xff1\n")
+        assert exc.value.line_no == 3
+
+
+def _parse_or_parse_error(data: bytes) -> None:
+    try:
+        parse_instance(data)
+    except ParseError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary())
+def test_parse_instance_fuzzed_bytes_raise_only_parse_error(data):
+    _parse_or_parse_error(data)
+
+
+# tokens of the format, so that fuzzed input gets past the header
+_TOKENS = [b"grinblat 1 ", b"rel ", b"0", b"1", b"2", b"3", b"-1", b"99", b"x",
+           b" ", b"\n", b"\r", b"\t", b"#", b"\xff", b"\xc3\xa9", b"\x00"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_TOKENS)).map(b"".join))
+def test_parse_instance_fuzzed_tokens_raise_only_parse_error(data):
+    _parse_or_parse_error(data)
 
 
 class TestMatchingFormat:
