@@ -117,18 +117,13 @@ def select_nonconflicting(
     keep.sort()
     limit = max(0, math.ceil(c / 16))
     return LuckyData(
-        jstar=lucky.jstar,
-        hprime=lucky.hprime,
-        W=lucky.W,
-        hsecond=tuple(keep[:limit]),
-        popular=lucky.popular,
-        Y=lucky.Y,
+        jstar=lucky.jstar, hprime=lucky.hprime, W=lucky.W, hsecond=tuple(keep[:limit])
     )
 
 
 def find_compatible_pair(
     state: TrackState, ledger: ChargeLedger, lucky: LuckyData, c: int
-) -> tuple[LuckyData, tuple[int, int]]:
+) -> tuple[int, int]:
     """Lowest k1 whose U set avoids every popular witness element, then the
     lowest partner k2 with mutually disjoint U and W sets."""
     threshold = math.isqrt(max(c, 1) - 1) + 1 if c > 0 else 1
@@ -155,15 +150,7 @@ def find_compatible_pair(
             continue
         if _conflicting(state, lucky, k1, k2):
             continue
-        out = LuckyData(
-            jstar=lucky.jstar,
-            hprime=lucky.hprime,
-            W=lucky.W,
-            hsecond=lucky.hsecond,
-            popular=popular,
-            Y=lucky.Y,
-        )
-        return out, (k1, k2)
+        return k1, k2
     raise InternalLogicError(
         "find_compatible_pair", f"no compatible partner for k1={k1} in {lucky.hsecond}"
     )

@@ -142,9 +142,8 @@ def extend_matching(
 
     lucky = find_lucky(state, ledger, tables, c)
     lucky = select_nonconflicting(state, lucky, c)
-    lucky, compat = find_compatible_pair(state, ledger, lucky, c)
+    compat = find_compatible_pair(state, ledger, lucky, c)
     y = exclusion_set(state, ledger, lucky)
-    lucky.Y = y
     if telemetry:
         telemetry.record(
             "lucky",

@@ -199,14 +199,12 @@ class ChargeLedger:
 
 @dataclass
 class LuckyData:
-    """Lucky component, witness sets, and the exclusion set of the final phase."""
+    """Lucky component and witness sets of the final phase."""
 
     jstar: int
     hprime: tuple[int, ...]
     W: dict[int, tuple[int, int]]
     hsecond: tuple[int, ...] = ()
-    popular: frozenset[int] = frozenset()
-    Y: frozenset[int] = frozenset()
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,12 @@ partitions compare equal and serialize identically.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 
 def _canon_classes(classes: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
-    return tuple(sorted(tuple(sorted(c)) for c in classes))
+    return tuple(sorted(map(tuple, map(sorted, classes))))
 
 
 @dataclass(frozen=True)
@@ -26,7 +26,25 @@ class Partition:
     def __init__(self, classes: Iterable[Iterable[int]]):
         object.__setattr__(self, "classes", _canon_classes(classes))
 
+    @property
+    def _span(self) -> Optional[tuple[int, int]]:
+        """(min, max) element if the classes are disjoint and of size >= 2,
+        else None; cached on first use, like the kernel it is read from."""
+        if "_span_cache" not in self.__dict__:
+            classes, kern = self.classes, kernel(self)
+            span = None
+            # as many listed elements as distinct ones: none is listed twice
+            if min(map(len, classes), default=2) >= 2 and sum(map(len, classes)) == len(kern):
+                span = (min(kern, default=0), max(kern, default=-1))
+            self.__dict__["_span_cache"] = span
+        return self.__dict__["_span_cache"]
+
     def validate(self, ground_size: int) -> None:
+        """Raise ValueError naming the first bad class or element; O(1)
+        after the first call."""
+        span = self._span
+        if span is not None and 0 <= span[0] and span[1] < ground_size:
+            return
         seen: set[int] = set()
         for cl in self.classes:
             if len(cl) < 2:
@@ -135,9 +153,21 @@ def verify_matching(inst: Instance, m: Matching) -> VerifyReport:
                 return VerifyReport(False, f"element {x} reused (first used by pair {seen[x]})", i)
             seen[x] = i
     for i, (a, b) in enumerate(m.pairs):
-        if b not in inst.relations[i].class_of(a):
+        if not _same_class(inst.relations[i], a, b):
             return VerifyReport(False, f"elements {a}, {b} not equivalent under relation {i}", i)
     return VerifyReport(True)
+
+
+def _same_class(p: Partition, a: int, b: int) -> bool:
+    """b shares a's class (a != b); scans the classes rather than build the
+    element index for one pair, unless the index is already there."""
+    idx = p.__dict__.get("_class_index_cache")
+    if idx is not None:
+        return b in idx.get(a, ())
+    for cl in p.classes:
+        if a in cl:
+            return b in cl
+    return False
 
 
 def _split_class(cl: tuple[int, ...]) -> list[tuple[int, ...]]:

@@ -25,12 +25,10 @@ def _lines(data: Union[bytes, str]) -> list[tuple[int, str]]:
             raise ParseError(no, f"invalid UTF-8 at byte {exc.start}") from None
     else:
         text = data
-    out = []
-    for no, raw in enumerate(text.split("\n"), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            out.append((no, stripped))
-    return out
+    raws = text.split("\n")
+    if "#" in text:
+        raws = [raw.split("#", 1)[0] for raw in raws]
+    return [(no, line) for no, raw in enumerate(raws, start=1) if (line := raw.strip())]
 
 
 def _ints(no: int, parts: list[str], what: str) -> list[int]:
@@ -66,28 +64,47 @@ def parse_instance(data: Union[bytes, str]) -> Instance:
         if k < 0:
             raise ParseError(no, "negative class count")
         idx += 1
-        classes: list[tuple[int, ...]] = []
-        seen: dict[int, int] = {}
-        for _ in range(k):
-            if idx >= len(lines):
-                raise ParseError(lines[-1][0], f"missing class line in relation {i}")
-            no, line = lines[idx]
-            elems = _ints(no, line.split(), "element")
-            if len(elems) < 2:
-                raise ParseError(no, f"class size {len(elems)} < 2")
-            for e in elems:
-                if not (0 <= e < ground):
-                    raise ParseError(no, f"element {e} outside ground set of size {ground}")
-                if e in seen:
-                    where = "same class" if seen[e] == no else f"line {seen[e]}"
-                    raise ParseError(no, f"duplicate element {e} (also in {where})")
-                seen[e] = no
-            classes.append(tuple(elems))
-            idx += 1
-        relations.append(Partition(classes))
+        # one pass: convert, canonicalise and check the whole relation; on
+        # any fault the line-by-line check names the first bad line
+        rel = None
+        if idx + k <= len(lines):
+            try:
+                rel = Partition(map(int, cl.split()) for _, cl in lines[idx : idx + k])
+                rel.validate(ground)
+            except ValueError:
+                rel = None
+        if rel is None:
+            rel = Partition(_check_classes(lines, idx, k, i, ground))
+        relations.append(rel)
+        idx += k
     if idx != len(lines):
         raise ParseError(lines[idx][0], "trailing content after last relation")
     return Instance(ground, relations)
+
+
+def _check_classes(
+    lines: list[tuple[int, str]], idx: int, k: int, i: int, ground: int
+) -> list[tuple[int, ...]]:
+    """Relation i's k class lines from lines[idx], checked one line at a
+    time; raises ParseError at the first bad line."""
+    classes: list[tuple[int, ...]] = []
+    seen: dict[int, int] = {}
+    for at in range(idx, idx + k):
+        if at >= len(lines):
+            raise ParseError(lines[-1][0], f"missing class line in relation {i}")
+        no, line = lines[at]
+        elems = _ints(no, line.split(), "element")
+        if len(elems) < 2:
+            raise ParseError(no, f"class size {len(elems)} < 2")
+        for e in elems:
+            if not (0 <= e < ground):
+                raise ParseError(no, f"element {e} outside ground set of size {ground}")
+            if e in seen:
+                where = "same class" if seen[e] == no else f"line {seen[e]}"
+                raise ParseError(no, f"duplicate element {e} (also in {where})")
+            seen[e] = no
+        classes.append(tuple(elems))
+    return classes
 
 
 def write_instance(inst: Instance) -> bytes:
@@ -95,7 +112,7 @@ def write_instance(inst: Instance) -> bytes:
     for i, rel in enumerate(inst.relations):
         out.append(f"rel {i} {len(rel.classes)}")
         for cl in rel.classes:
-            out.append(" ".join(str(e) for e in cl))
+            out.append(" ".join(map(str, cl)))
     return ("\n".join(out) + "\n").encode("utf-8")
 
 

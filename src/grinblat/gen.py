@@ -47,19 +47,17 @@ def gen_random_hypothesis(n: int, c: int, seed: int, slack: int = 0) -> Instance
     rels = []
     for _ in range(n):
         elems = rng.permutation(ground).tolist()
-        sizes = rng.integers(2, 4, size=bound // 2 + 1).tolist()
-        classes: list[tuple[int, ...]] = []
-        covered, at = 0, 0
-        for size in sizes:
-            if covered >= bound:
-                break
-            size = min(size, ground - at)
-            if size < 2:
-                break
-            classes.append(tuple(elems[at : at + size]))
-            at += size
-            covered += size
-        rels.append(Partition(classes))
+        sizes = rng.integers(2, 4, size=bound // 2 + 1)
+        # Classes of the drawn sizes are cut from the front of elems until
+        # they cover bound elements.  Each class starts before bound and
+        # has at most 3 elements, so it ends by bound + 2 <= ground and is
+        # never clipped; the sizes sum to at least bound + 1, so the draw
+        # never runs out.
+        ends = np.cumsum(sizes)
+        m = int(np.searchsorted(ends, bound)) + 1 if bound > 0 else 0
+        cuts = [0, *ends[:m].tolist()]
+        assert cuts[-1] <= ground
+        rels.append(Partition(map(elems.__getitem__, map(slice, cuts, cuts[1:]))))
     return Instance(ground, rels)
 
 

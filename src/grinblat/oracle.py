@@ -27,10 +27,18 @@ class SolveResult:
 
 
 def _pairs_of(p: Partition) -> list[tuple[int, int]]:
-    out: list[tuple[int, int]] = []
-    for cl in p.classes:
-        out.extend(itertools.combinations(cl, 2))
-    out.sort()
+    """The partition's pairs in sorted order, cached on it like its kernel.
+
+    Callers share the cached list and must not mutate it: exact_solve only
+    ever replaces a relation's list with a filtered copy.
+    """
+    out = p.__dict__.get("_pairs_cache")
+    if out is None:
+        out = []
+        for cl in p.classes:
+            out.extend(itertools.combinations(cl, 2))
+        out.sort()
+        p.__dict__["_pairs_cache"] = out
     return out
 
 
@@ -188,6 +196,9 @@ def _search_pass(n, kernel_target, max_ground, budget, rng, certify, node_count)
             candidates.extend(_partitions_23(support))
         if rng is not None:
             rng.shuffle(candidates)
+        # each candidate's Partition, built on first visit and kept for the
+        # cell's shapes, so its kernel and pair list are computed once
+        parts: list[Optional[Partition]] = [None] * len(candidates)
         for shape in _shapes(kernel_target):
             # relation 1: consecutive blocks realizing the shape
             blocks, at = [], 0
@@ -196,7 +207,7 @@ def _search_pass(n, kernel_target, max_ground, budget, rng, certify, node_count)
                 at += sz
             rel1 = Partition(blocks)
             witness = _dfs_relations(
-                n, ground, rel1, candidates, budget, certify, node_count
+                n, ground, rel1, candidates, parts, budget, certify, node_count
             )
             if witness is not None:
                 return witness, False
@@ -205,9 +216,10 @@ def _search_pass(n, kernel_target, max_ground, budget, rng, certify, node_count)
     return None, complete
 
 
-def _dfs_relations(n, ground, rel1, candidates, budget, certify, node_count):
+def _dfs_relations(n, ground, rel1, candidates, parts, budget, certify, node_count):
     """Certify every nondecreasing choice of candidates for relations 2..n,
-    depth-first on an explicit stack; the first witness found is returned."""
+    depth-first on an explicit stack; the first witness found is returned.
+    parts[i] memoises Partition(candidates[i])."""
     if n == 1:
         return certify([rel1], ground)
     chosen: list[Partition] = [rel1]
@@ -223,7 +235,10 @@ def _dfs_relations(n, ground, rel1, candidates, budget, certify, node_count):
         if node_count() >= budget:
             return None
         starts[-1] = idx + 1
-        chosen.append(Partition(candidates[idx]))
+        part = parts[idx]
+        if part is None:
+            part = parts[idx] = Partition(candidates[idx])
+        chosen.append(part)
         if len(chosen) < n:
             starts.append(idx)
             continue

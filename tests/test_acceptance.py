@@ -187,7 +187,7 @@ def _deep_pipeline_artifacts():
         tables[i] = payload
     lucky = find_lucky(state, ledger, tables, 32)
     lucky = select_nonconflicting(state, lucky, 32)
-    lucky, compat = find_compatible_pair(state, ledger, lucky, 32)
+    compat = find_compatible_pair(state, ledger, lucky, 32)
     return inst, state, ledger, heavy, tables, lucky, compat
 
 

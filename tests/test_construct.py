@@ -434,7 +434,7 @@ class TestLuckyAnalysis:
             t_partner=ledger.t_partner,
         )
         lucky = LuckyData(jstar=10, hprime=(7, 8, 9), W=W, hsecond=(7, 8, 9))
-        out, (k1, k2) = find_compatible_pair(state, ledger2, lucky, c=4)
+        k1, k2 = find_compatible_pair(state, ledger2, lucky, c=4)
         assert k1 == 8
         assert k2 == 9  # 7 conflicts with 8
 
@@ -575,3 +575,30 @@ def test_planted_small_c_always_solved(seed):
     m = extend_matching(inst, sub, new_rel=0, c=8, telemetry=tel)
     assert verify_matching(inst, m).valid
     assert tel.win_branch is not None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=14),
+    st.integers(min_value=0, max_value=8),
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=-2, max_value=4),
+    st.data(),
+)
+def test_extend_matching_on_solved_sub_is_verified(n, c, seed, dc, data):
+    # the sub is the matching solve finds for the other relations; under the
+    # hypothesis the step returns a verified matching, and with a raised c
+    # it may only refuse with HypothesisViolation
+    inst = gen_random_hypothesis(n, c, seed)
+    new_rel = data.draw(st.integers(min_value=0, max_value=n - 1))
+    others = [i for i in range(n) if i != new_rel]
+    rest = Instance(inst.ground_size, [inst.relations[i] for i in others])
+    res = solve(rest, c=c, n_min=1)
+    assert res.outcome == "matched"
+    sub = dict(zip(others, res.matching.pairs))
+    try:
+        m = extend_matching(inst, sub, new_rel=new_rel, c=c + dc)
+    except HypothesisViolation:
+        assert dc > 0
+        return
+    assert verify_matching(inst, m).valid

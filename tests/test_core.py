@@ -46,6 +46,83 @@ class TestPartition:
         with pytest.raises(ValueError):
             Partition([(0, 9)]).validate(5)
 
+    @pytest.mark.parametrize("classes, ground, message", [
+        ([(0,)], 5, "class (0,) has size < 2"),
+        ([(3, 2, 2)], 5, "class (2, 2, 3) repeats an element"),
+        ([(0, 9)], 5, "element 9 outside ground set of size 5"),
+        ([(-1, 3)], 5, "element -1 outside ground set of size 5"),
+        ([(1, 2), (0, 1)], 5, "element 1 appears in two classes"),
+        # the first violation in canonical class order is the one reported
+        ([(3, 9), (1, 4), (0, 1)], 5, "element 1 appears in two classes"),
+        ([(1, 9), (0,)], 5, "class (0,) has size < 2"),
+        ([(4, 7), (0, 1, 1)], 5, "class (0, 1, 1) repeats an element"),
+    ])
+    @pytest.mark.parametrize("before", ["nothing", "kernel", "validate"])
+    def test_validate_messages(self, classes, ground, message, before):
+        p = Partition(classes)
+        if before == "kernel":
+            kernel(p)
+        elif before == "validate":
+            # a larger ground set that still fails, or passes for range defects
+            try:
+                p.validate(100)
+            except ValueError:
+                pass
+        with pytest.raises(ValueError) as exc:
+            p.validate(ground)
+        assert str(exc.value) == message
+        # a second call reports the same
+        with pytest.raises(ValueError) as exc:
+            p.validate(ground)
+        assert str(exc.value) == message
+
+    def test_validate_after_success_on_larger_ground(self):
+        p = Partition([(0, 1), (2, 7)])
+        p.validate(8)
+        p.validate(8)
+        with pytest.raises(ValueError) as exc:
+            p.validate(7)
+        assert str(exc.value) == "element 7 outside ground set of size 7"
+        Partition([]).validate(0)
+
+
+def _reference_validate(classes, ground_size):
+    # the per-element check, as written before the kernel facts existed
+    seen = set()
+    for cl in classes:
+        if len(cl) < 2:
+            raise ValueError(f"class {cl} has size < 2")
+        if len(set(cl)) != len(cl):
+            raise ValueError(f"class {cl} repeats an element")
+        for x in cl:
+            if not (0 <= x < ground_size):
+                raise ValueError(f"element {x} outside ground set of size {ground_size}")
+            if x in seen:
+                raise ValueError(f"element {x} appears in two classes")
+            seen.add(x)
+
+
+def _outcome(fn, *args):
+    try:
+        fn(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.lists(st.integers(-2, 9), max_size=4), max_size=5),
+    st.lists(st.integers(0, 11), min_size=1, max_size=3),
+    st.booleans(),
+)
+def test_validate_matches_reference(classes, grounds, kernel_first):
+    p = Partition(classes)
+    if kernel_first:
+        kernel(p)
+    for ground in grounds:
+        assert _outcome(p.validate, ground) == _outcome(_reference_validate, p.classes, ground)
+
 
 class TestKernel:
     def test_kernel_collects_nontrivial_members(self):

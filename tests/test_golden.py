@@ -3,7 +3,9 @@ experiment report.
 
 Each digest is the sha256 of a written matching, telemetry event list or
 CSV report on a generated instance, so any change to a phase's choices
-shows up here even when the new matching is still valid.  The oracle pins
+shows up here even when the new matching is still valid.  The instance
+pins hold the written generator output, so a change to how an instance is
+drawn, built or written shows up too.  The oracle pins
 hold exact_solve's outcome, node count and matching, so a rewrite of the
 search must visit the same nodes in the same order.  A change that alters
 an output on purpose must say why and update the digest.
@@ -18,7 +20,7 @@ import pytest
 from grinblat.construct import Telemetry, extend_matching, solve
 from grinblat.core import Instance, Partition
 from grinblat.experiment import ExperimentConfig, run_experiment
-from grinblat.formats import write_matching
+from grinblat.formats import write_instance, write_matching
 from grinblat.gen import gen_lower_bound_family, gen_planted_concentrated, gen_random_hypothesis
 from grinblat.oracle import exact_solve, search_unmatchable
 from test_oracle import _random_small_instance
@@ -45,6 +47,35 @@ def test_planted_matching_digest(n, c, seed, branch, digest):
     m = extend_matching(inst, sub, new_rel=0, c=c, telemetry=tel)
     assert tel.win_branch == branch
     assert _sha(write_matching(m)) == digest
+
+
+INSTANCE_GOLDEN = [
+    # (n, c, seed, slack, sha256 of write_instance(gen_random_hypothesis(n, c, seed, slack)))
+    (1, 0, 1, 0, "464183c27b4a5c5f57453e414de57a4e9094b1ad2dbd8d210189ad94749b111f"),
+    (1, 5000, 2, 0, "1f6edb03b2334c2015c283ba71fc49534602c937cd7cb8b246e2a06f93754ba1"),
+    (5, -10, 3, 0, "40bc34249d6ff4b9cb60e5a2879dcfb256d55e53c1ca866036de547681edf397"),
+    (5, -15, 4, 0, "5737451042cbb93d1d7200c827b8aa86a6a8ed3f855e1c8063d6c985bd8996a9"),
+    (5, -16, 5, 0, "682d32b5b0c5223448cbf76141252f31cdd43c783b741ded3c2c8f853a581d1f"),
+    (30, 5000, 1, 0, "12506c4f0703542d7e4d626195cfd2990843136df50afa27d8a26faa9295b86b"),
+    (30, 5000, 7, 0, "8dff92693c25d9d35a406b94d865d89515a832a8725e0936145fc4cfa46ef060"),
+    (12, 0, 4, 3, "2b86c505036b9f5ad632b7f5e73c8579333868211c33fa4a54c04a38ba3847c4"),
+    (30, 8, 7, 5, "c0a62a35584fa31adcb8de7376ab81b218df506f209c34ad2e3ea01dbc314ab7"),
+    (40, 32, 9, 11, "da72b624ac8771cdbc0241aae861aa514927645cd764f68673697fb76ccf6248"),
+]
+
+
+@pytest.mark.parametrize("n, c, seed, slack, digest", INSTANCE_GOLDEN)
+def test_uniform_instance_digest(n, c, seed, slack, digest):
+    assert _sha(write_instance(gen_random_hypothesis(n, c, seed, slack))) == digest
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (1, "37abd3a25e65ce003f756d6c2e9a46d86f5192d0d653174590725351bc77e263"),
+    (2, "8821317fd0d8ce1fa5fee72b268c26c2c0f16d6254a4fcbccce054b10cb8175a"),
+])
+def test_planted_instance_digest(seed, digest):
+    inst, _ = gen_planted_concentrated(100, 32, seed)
+    assert _sha(write_instance(inst)) == digest
 
 
 SOLVE_GOLDEN = [

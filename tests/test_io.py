@@ -104,6 +104,74 @@ def test_parse_instance_fuzzed_tokens_raise_only_parse_error(data):
     _parse_or_parse_error(data)
 
 
+_DEFECTS = ["duplicate", "same_line_duplicate", "size_one", "out_of_range", "non_integer", "missing_line"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 4), st.integers(-3, 6), st.integers(0, 10**6),
+    st.sampled_from(_DEFECTS), st.booleans(), st.data(),
+)
+def test_parse_instance_reports_injected_defect(n, c, seed, defect, comment, data):
+    # one defect in a valid instance text; the ParseError must name the
+    # defect's own line with the exact message
+    inst = gen_random_hypothesis(n, c, seed)
+    ground = inst.ground_size
+    lines = write_instance(inst).decode().split("\n")
+    # line numbers (1-based) of each relation's class lines
+    class_lines, no = [], 2
+    for rel in inst.relations:
+        k = len(rel.classes)
+        class_lines.append(list(range(no + 1, no + 1 + k)))
+        no += 1 + k
+    i = data.draw(st.integers(0, n - 1))
+    if defect == "missing_line":
+        i = n - 1
+    own = class_lines[i]
+    if defect == "duplicate" and len(own) < 2:
+        defect = "same_line_duplicate"
+    at = data.draw(st.sampled_from(own))
+    tokens = lines[at - 1].split()
+    if defect == "duplicate":
+        first, second = sorted(data.draw(st.lists(st.sampled_from(own), min_size=2, max_size=2, unique=True)))
+        e = int(data.draw(st.sampled_from(lines[first - 1].split())))
+        second_tokens = lines[second - 1].split()
+        second_tokens.insert(data.draw(st.integers(0, len(second_tokens))), str(e))
+        lines[second - 1] = " ".join(second_tokens)
+        want = (second, f"duplicate element {e} (also in line {first})")
+    elif defect == "same_line_duplicate":
+        pos = data.draw(st.integers(0, len(tokens) - 1))
+        e = int(tokens[pos])
+        tokens.insert(data.draw(st.integers(pos + 1, len(tokens))), str(e))
+        lines[at - 1] = " ".join(tokens)
+        want = (at, f"duplicate element {e} (also in same class)")
+    elif defect == "size_one":
+        lines[at - 1] = tokens[0]
+        want = (at, "class size 1 < 2")
+    elif defect == "out_of_range":
+        pos = data.draw(st.integers(0, len(tokens) - 1))
+        bad = data.draw(st.one_of(st.integers(ground, ground + 5), st.integers(-5, -1)))
+        tokens[pos] = str(bad)
+        lines[at - 1] = " ".join(tokens)
+        want = (at, f"element {bad} outside ground set of size {ground}")
+    elif defect == "non_integer":
+        pos = data.draw(st.integers(0, len(tokens) - 1))
+        tokens[pos] = data.draw(st.sampled_from(["x", "1.5", "--2", "0x1"]))
+        lines[at - 1] = " ".join(tokens)
+        want = (at, f"non-integer element: {tokens!r}")
+    else:
+        # cut the file after the last relation's header or one of its class
+        # lines other than the last
+        keep = data.draw(st.sampled_from([own[0] - 1] + own[:-1]))
+        lines = lines[:keep]
+        want = (keep, f"missing class line in relation {n - 1}")
+    if comment:
+        lines[0] += "  # header comment"
+    with pytest.raises(ParseError) as exc:
+        parse_instance("\n".join(lines) + "\n")
+    assert (exc.value.line_no, str(exc.value)) == (want[0], f"line {want[0]}: {want[1]}")
+
+
 class TestMatchingFormat:
     def test_round_trip(self):
         m = Matching([(4, 2), (0, 5)])
