@@ -21,7 +21,7 @@ from .pipeline import (
     hypothesis_bound,
     solve,
 )
-from .state import ChargeLedger, Component, LuckyData, Overrides, Telemetry, TrackState
+from .state import ChargeLedger, Component, LuckyData, Telemetry, TrackState
 
 __all__ = [
     "DEFAULT_C",
@@ -29,7 +29,6 @@ __all__ = [
     "ChargeLedger",
     "Component",
     "LuckyData",
-    "Overrides",
     "Telemetry",
     "TrackState",
     "build_track",

@@ -13,7 +13,7 @@ from typing import AbstractSet, Optional
 from ..core import Matching, Partition, kernel
 from ..errors import CompletionImpossible, InternalLogicError
 from .completion import complete_assignment
-from .state import ChargeLedger, Component, Overrides, Telemetry, TrackState
+from .state import ChargeLedger, Component, Telemetry, TrackState
 
 
 def direct_pair(rel: Partition, used: AbstractSet[int]) -> Optional[tuple[int, int]]:
@@ -98,8 +98,7 @@ def build_track(state: TrackState, telemetry: Optional[Telemetry] = None):
         pos = state.extent  # the relation whose kernel gets charged this step
         win = _find_win_pair(state, pos)
         if win is not None:
-            ov = Overrides({pos: win})
-            m = complete_assignment(state, ov)
+            m = complete_assignment(state, {pos: win})
             if telemetry:
                 telemetry.record("build_track", win="track_pair", step=pos, track_len=state.extent - 1)
             return ("win", m)
@@ -153,7 +152,7 @@ def charge_scheme_2(state: TrackState, telemetry: Optional[Telemetry] = None):
     # an unexcluded t-pair outside C_right ends the step immediately
     win = _find_win_pair(state, t)
     if win is not None:
-        m = complete_assignment(state, Overrides({t: win}))
+        m = complete_assignment(state, {t: win})
         if telemetry:
             telemetry.record("charge_scheme_2", win="t_pair")
         return ("win", m)
@@ -174,13 +173,14 @@ def charge_scheme_2(state: TrackState, telemetry: Optional[Telemetry] = None):
                 continue
             if target is None:
                 target = state.lowest_identity_member(cl, 1)
-            if target is None:
-                # both elements outside B: a direct pair missed earlier
-                other = next(y for y in cl if y != x)
-                m = complete_assignment(state, Overrides({1: (x, other)}))
-                if telemetry:
-                    telemetry.record("charge_scheme_2", win="late_direct_pair")
-                return ("win", m)
+                if target is None:
+                    # unreachable after try_direct_pair found nothing: then
+                    # each class holds at most one element outside B, so
+                    # x's class holds a member of B, at position >= 2
+                    raise InternalLogicError(
+                        "charge_scheme_2",
+                        f"element {x} of relation at position 1 has no charge target; {state.digest()}",
+                    )
             p, partner = target
             sigma[p] += 1
             S.setdefault(p, []).append(x)
@@ -325,7 +325,7 @@ def try_five_heavy_left_win(
 
     def finish(overrides: dict[int, tuple[int, int]], branch: str) -> Optional[Matching]:
         try:
-            m = complete_assignment(state, Overrides(overrides))
+            m = complete_assignment(state, overrides)
         except (CompletionImpossible, ValueError):
             return None
         if telemetry:
@@ -360,12 +360,8 @@ def try_five_heavy_left_win(
                     ov = {i2 - 1: (a, cc), 1: (bb, d)}
                 else:
                     ov = {i2 - 1: (bb, d), 1: (a, cc)}
-                used = set(x for p in ov.values() for x in p)
                 for z in ledger.T.get(i1, ()):
-                    part = ledger.t_partner[z]
-                    if z in used or part in used or z == part:
-                        continue
-                    m = finish({**ov, state.t: (z, part)}, "case2b")
+                    m = finish({**ov, state.t: (z, ledger.t_partner[z])}, "case2b")
                     if m is not None:
                         return m
     raise InternalLogicError(

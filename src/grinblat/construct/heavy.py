@@ -14,7 +14,7 @@ from typing import Optional
 from ..core import kernel
 from ..errors import CompletionImpossible, InternalLogicError
 from .completion import complete_assignment
-from .state import ChargeLedger, Overrides, Telemetry, TrackState
+from .state import ChargeLedger, Telemetry, TrackState
 
 
 def tainted_left(state: TrackState, ledger: ChargeLedger, i: int) -> set[int]:
@@ -46,7 +46,7 @@ def _try_win_fresh_pair(
                         continue
                     try:
                         m = complete_assignment(
-                            state, Overrides({i: (x, y), 1: (u, ledger.one_partner[u])})
+                            state, {i: (x, y), 1: (u, ledger.one_partner[u])}
                         )
                     except (CompletionImpossible, ValueError):
                         continue
@@ -82,9 +82,7 @@ def _try_win_untainted_left(
                     if len({e, z, v, part}) != 4:
                         continue
                     try:
-                        m = complete_assignment(
-                            state, Overrides({i: (e, z), state.t: (v, part)})
-                        )
+                        m = complete_assignment(state, {i: (e, z), state.t: (v, part)})
                     except (CompletionImpossible, ValueError):
                         continue
                     if telemetry:

@@ -17,7 +17,7 @@ from ..core import Matching
 from ..errors import CompletionImpossible, InternalLogicError
 from .completion import complete_assignment
 from .heavy import pick_heavy_pair_elements
-from .state import ChargeLedger, LuckyData, Overrides, Telemetry, TrackState
+from .state import ChargeLedger, LuckyData, Telemetry, TrackState
 
 ChargeTable = dict[int, tuple[int, tuple[tuple[int, int], ...]]]
 
@@ -225,11 +225,8 @@ def _paired_recipe(
                         1: (v1, w1),
                         state.t: (v2, w2),
                     }
-                    used = [e for p in ov.values() for e in p]
-                    if len(set(used)) != len(used):
-                        continue
                     try:
-                        m = complete_assignment(state, Overrides(ov))
+                        m = complete_assignment(state, ov)
                     except (CompletionImpossible, ValueError):
                         continue
                     if telemetry:
@@ -274,11 +271,8 @@ def _single_recipe(
                                 1: (e1, s),
                                 state.t: (e2, tv),
                             }
-                            used = [e for p in ov.values() for e in p]
-                            if len(set(used)) != len(used):
-                                continue
                             try:
-                                m = complete_assignment(state, Overrides(ov))
+                                m = complete_assignment(state, ov)
                             except (CompletionImpossible, ValueError):
                                 continue
                             if telemetry:

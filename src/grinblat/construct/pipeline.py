@@ -34,7 +34,7 @@ from .lucky import (
     find_lucky,
     select_nonconflicting,
 )
-from .state import Component, Overrides, Telemetry, TrackState
+from .state import Component, Telemetry, TrackState
 
 DEFAULT_C = 5000
 DEFAULT_N_MIN = 30
@@ -102,7 +102,7 @@ def extend_matching(
     if pair is not None:
         if telemetry:
             telemetry.record("direct_pair", win="direct_pair", pair=pair)
-        m = complete_assignment(state, Overrides({1: pair}))
+        m = complete_assignment(state, {1: pair})
         return _finish(state, m)
 
     if state.t < 2:

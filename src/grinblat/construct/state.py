@@ -207,27 +207,6 @@ class LuckyData:
     hsecond: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
-class Overrides:
-    """Pinned relation-position -> pair assignments for the completion engine."""
-
-    assigned: tuple[tuple[int, tuple[int, int]], ...]
-
-    def __init__(self, assigned: dict[int, tuple[int, int]]):
-        object.__setattr__(self, "assigned", tuple(sorted(assigned.items())))
-
-    def as_dict(self) -> dict[int, tuple[int, int]]:
-        return dict(self.assigned)
-
-    @property
-    def consumed(self) -> frozenset[int]:
-        out: set[int] = set()
-        for _, (x, y) in self.assigned:
-            out.add(x)
-            out.add(y)
-        return frozenset(out)
-
-
 @dataclass
 class Telemetry:
     """Structured step log emitted by one solve."""

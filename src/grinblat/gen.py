@@ -23,8 +23,8 @@ from typing import Optional, Sequence, Union
 
 from .construct.charging import charge_scheme_2
 from .construct.state import ChargeLedger, Component, TrackState
-from .core import Instance, Partition, kernel
-from .errors import InfeasibleFixture, InternalLogicError
+from .core import Instance, Partition
+from .errors import InfeasibleFixture
 
 
 def gen_lower_bound_family(n: int) -> Instance:
@@ -301,10 +301,3 @@ def _merge_classes(classes: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
             groups.setdefault(find(e), set()).add(e)
     return [tuple(sorted(g)) for g in groups.values()]
 
-
-def check_instance(inst: Instance) -> None:
-    """Shared sanity hook for generator tests."""
-    inst.validate()
-    for p in inst.relations:
-        if not kernel(p) and inst.n > 0:
-            raise InternalLogicError("gen", "generated relation with empty kernel")

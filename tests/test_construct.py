@@ -1,15 +1,17 @@
 """Unit tests for the constructive engine: completion, track, charging,
 lemma wins, lucky analysis, and the orchestrated pipeline."""
 
+import functools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fixtures
+from completion_ref import complete_assignment_dfs
 from grinblat.construct import (
     ChargeLedger,
     LuckyData,
-    Overrides,
     Telemetry,
     TrackState,
     build_track,
@@ -93,7 +95,7 @@ class TestCompleteAssignment:
         # supplies overrides for relations 1 and t together
         state, _ = base_state()
         with pytest.raises(CompletionImpossible):
-            complete_assignment(state, Overrides({}))
+            complete_assignment(state, {})
 
     def test_chain_shift(self):
         state, _ = base_state(
@@ -105,9 +107,7 @@ class TestCompleteAssignment:
             for e in state.relation_at(1).class_of(comp4.a)
             if e not in (comp4.a, comp4.c)
         )
-        m = complete_assignment(
-            state, Overrides({1: (comp4.a, y), 6: (comp4.c, comp4.d)})
-        )
+        m = complete_assignment(state, {1: (comp4.a, y), 6: (comp4.c, comp4.d)})
         # position 4 lost its identity element and shifts to C_5's cross,
         # pushing position 5 onto C_6's cross
         assert m.pairs[3] in ((comp5.a, comp5.c), (comp5.b, comp5.d))
@@ -121,15 +121,13 @@ class TestCompleteAssignment:
         state, _ = base_state()
         comp2, comp3 = state.comps[2], state.comps[3]
         with pytest.raises(ValueError):
-            complete_assignment(
-                state, Overrides({2: (comp2.a, comp2.b), 3: (comp2.a, comp3.b)})
-            )
+            complete_assignment(state, {2: (comp2.a, comp2.b), 3: (comp2.a, comp3.b)})
 
     def test_non_equivalent_override_rejected(self):
         state, _ = base_state()
         comp = state.comps[20]
         with pytest.raises(ValueError):
-            complete_assignment(state, Overrides({7: (comp.a, comp.b)}))
+            complete_assignment(state, {7: (comp.a, comp.b)})
 
     def test_blocked_right_identity_raises(self):
         # consuming a right component's identity leaves that position with
@@ -137,7 +135,67 @@ class TestCompleteAssignment:
         state, _ = base_state(extra={6: [[("a", 20), ("b", 20)]]})
         comp = state.comps[20]
         with pytest.raises(CompletionImpossible):
-            complete_assignment(state, Overrides({6: (comp.a, comp.b)}))
+            complete_assignment(state, {6: (comp.a, comp.b)})
+
+
+@functools.lru_cache(maxsize=None)
+def _completion_states() -> tuple[TrackState, ...]:
+    """The hand fixtures' states, plus planted states with a full track."""
+    states = [base_state()[0]]
+    states += [
+        build()[0]
+        for build in (
+            fixtures.five_heavy_case1,
+            fixtures.five_heavy_case2a,
+            fixtures.five_heavy_case2b,
+            fixtures.pair_elements_disjoint,
+            fixtures.pair_elements_crossing,
+            fixtures.pair_elements_redraw,
+            fixtures.scheme3_win_fresh_pair,
+            fixtures.scheme3_win_untainted_left,
+            fixtures.conflict_triple,
+            fixtures.jstar_unlucky,
+            fixtures.jstar_split,
+        )
+    ]
+    for n, c, seed in ((30, 0, 2), (60, 20, 5), (100, 32, 1)):
+        inst, sub = gen_planted_concentrated(n, c, seed)
+        kind, state = build_track(_initial_state(inst, sub, 0))
+        assert kind == "track"
+        states.append(state)
+    return tuple(states)
+
+
+def _completion_outcome(complete, state, pins):
+    try:
+        return complete(state, pins).pairs
+    except (ValueError, CompletionImpossible) as exc:
+        return (type(exc), str(exc))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_completion_matches_reference_search(data):
+    states = _completion_states()
+    state = states[data.draw(st.integers(0, len(states) - 1))]
+    tracked = sorted(state.component_of())
+    pins = {}
+    for _ in range(data.draw(st.integers(0, 3))):
+        pos = data.draw(st.integers(1, state.n))
+        rel = state.relation_at(pos)
+        # a class through a track element, so that pins block identity and
+        # cross pairs, or any class of the relation
+        if data.draw(st.booleans()):
+            cl = rel.class_of(data.draw(st.sampled_from(tracked)))
+        else:
+            cl = data.draw(st.sampled_from(rel.classes))
+        if len(cl) >= 2:
+            i, j = data.draw(
+                st.lists(st.integers(0, len(cl) - 1), min_size=2, max_size=2, unique=True)
+            )
+            pins[pos] = (cl[i], cl[j])
+    expected = _completion_outcome(complete_assignment_dfs, state, pins)
+    assert _completion_outcome(complete_assignment, state, pins) == expected
 
 
 # ------------------------------------------------------------------ track

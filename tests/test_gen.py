@@ -12,7 +12,6 @@ from grinblat.core import KernelInfo, kernel, min_kernel, verify_matching
 from grinblat.errors import InfeasibleFixture
 from grinblat.gen import (
     FixtureSpec,
-    check_instance,
     gen_fixture_ledger,
     gen_lower_bound_family,
     gen_planted_concentrated,
@@ -20,6 +19,12 @@ from grinblat.gen import (
     planted_capacity,
 )
 from grinblat.oracle import exact_solve
+
+
+def check_instance(inst) -> None:
+    """A generated instance is valid and no relation has an empty kernel."""
+    inst.validate()
+    assert inst.n == 0 or all(kernel(p) for p in inst.relations)
 
 
 class TestLowerBoundFamily:

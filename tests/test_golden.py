@@ -18,7 +18,7 @@ import random
 import pytest
 
 from grinblat.construct import Telemetry, extend_matching, solve
-from grinblat.core import Instance, Partition
+from grinblat.core import Instance, Partition, verify_matching
 from grinblat.experiment import ExperimentConfig, run_experiment
 from grinblat.formats import write_instance, write_matching
 from grinblat.gen import gen_lower_bound_family, gen_planted_concentrated, gen_random_hypothesis
@@ -46,6 +46,30 @@ def test_planted_matching_digest(n, c, seed, branch, digest):
     tel = Telemetry()
     m = extend_matching(inst, sub, new_rel=0, c=c, telemetry=tel)
     assert tel.win_branch == branch
+    assert _sha(write_matching(m)) == digest
+
+
+TRACK_PAIR_GOLDEN = [
+    # (n, c, seed, sha256); relation 0 gets no direct pair, every other
+    # relation a fresh class, so the first track step already wins
+    (30, 0, 3, "e171b406ec97e7e7a101743ba7b307a813b0302d41d9380620a8722fa8837849"),
+    (60, 20, 5, "de88162cb12c4ceaeff507a464d11e2d3d4c3787fbd589a97e14ce94d47bc146"),
+    (100, 32, 1, "fb8491b0e55df72e89f002f3d0f41283a22bb577ba37dea3fd7bf8db82bf126f"),
+]
+
+
+@pytest.mark.parametrize("n, c, seed, digest", TRACK_PAIR_GOLDEN)
+def test_track_pair_matching_digest(n, c, seed, digest):
+    inst, sub = gen_planted_concentrated(n, c, seed)
+    g = inst.ground_size
+    fresh = [inst.relations[0]] + [
+        Partition(list(rel.classes) + [(g, g + 1)]) for rel in inst.relations[1:]
+    ]
+    inst = Instance(g + 2, fresh)
+    tel = Telemetry()
+    m = extend_matching(inst, sub, new_rel=0, c=c, telemetry=tel)
+    assert tel.events[-1] == {"phase": "build_track", "win": "track_pair", "step": 2, "track_len": 1}
+    assert verify_matching(inst, m).valid
     assert _sha(write_matching(m)) == digest
 
 
