@@ -41,9 +41,8 @@ def _try_win_fresh_pair(
         for ai in range(len(free)):
             for bi in range(ai + 1, len(free)):
                 x, y = free[ai], free[bi]
+                # u is in S_i and x, y are not, so u is neither of them
                 for u in si:
-                    if u in (x, y):
-                        continue
                     try:
                         m = complete_assignment(
                             state, {i: (x, y), 1: (u, ledger.one_partner[u])}
@@ -77,10 +76,9 @@ def _try_win_untainted_left(
             for z in rel.class_of(e):
                 if z == e or z in bprime or z in ti:
                     continue
+                # distinct pins: e in B, v not; z not in B' or T_i, v in T_i; part of C_i, e left
                 for v in ledger.T.get(i, ()):
                     part = ledger.t_partner[v]
-                    if len({e, z, v, part}) != 4:
-                        continue
                     try:
                         m = complete_assignment(state, {i: (e, z), state.t: (v, part)})
                     except (CompletionImpossible, ValueError):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import Mapping, Optional
 
-from ..core import Instance, Matching, min_kernel, verify_matching
+from ..core import Instance, Matching, _same_class, min_kernel, verify_matching
 from ..errors import HypothesisViolation, InternalLogicError
 from ..oracle import SolveResult, exact_solve
 from .charging import (
@@ -56,7 +56,7 @@ def _initial_state(
     seen: set[int] = set()
     for i in others:
         a, b = sub[i]
-        if a == b or not inst.relations[i].equivalent(a, b):
+        if a == b or not _same_class(inst.relations[i], a, b):
             raise ValueError(f"sub pair {sub[i]} invalid for relation {i}")
         for e in (a, b):
             if e in seen:

@@ -26,6 +26,18 @@ class Partition:
     def __init__(self, classes: Iterable[Iterable[int]]):
         object.__setattr__(self, "classes", _canon_classes(classes))
 
+    @classmethod
+    def _from_checked(
+        cls, classes: tuple[tuple[int, ...], ...], kern: frozenset[int], span: tuple[int, int]
+    ) -> "Partition":
+        """A partition of classes the caller has checked to be canonical,
+        disjoint and of size >= 2, with their union and its (min, max)
+        cached as the kernel and span; nothing is sorted again."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "classes", classes)
+        p.__dict__.update(_kernel_cache=kern, _span_cache=span)
+        return p
+
     @property
     def _span(self) -> Optional[tuple[int, int]]:
         """(min, max) element if the classes are disjoint and of size >= 2,

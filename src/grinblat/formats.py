@@ -1,14 +1,25 @@
 """Text formats for instances and matchings.
 
 Instance files: a header line ``grinblat 1 <n> <ground_size>``, then for
-each relation a line ``rel <i> <k>`` followed by k class lines of sorted
+each relation a line ``rel <i> <k>`` followed by k class lines of
 space-separated element indices.  UTF-8, LF, '#' starts a comment.
+``write_instance`` emits the canonical form: each class sorted, classes in
+order of their smallest element, one space between indices.
+``parse_instance`` accepts the classes and their elements in any order,
+with any whitespace, and canonicalises them.  A relation whose class lines
+are canonical and hold only ASCII digits and spaces (as ``write_instance``
+emits them) is checked and converted in one numpy pass.  Any other
+relation is read with ``int`` per line, and a faulty one line by line, so
+that the ``ParseError`` names its first bad line.
 Matching files hold one line ``i a b`` per relation, sorted by i.
 """
 
 from __future__ import annotations
 
-from typing import Union
+from itertools import compress, count
+from typing import Optional, Union
+
+import numpy as np
 
 from .core import Instance, Matching, Partition
 from .errors import ParseError
@@ -16,7 +27,9 @@ from .errors import ParseError
 _HEADER = "grinblat 1"
 
 
-def _lines(data: Union[bytes, str]) -> list[tuple[int, str]]:
+def _lines(data: Union[bytes, str]) -> tuple[list[int], list[str]]:
+    """The 1-based numbers and the stripped text of the non-blank lines,
+    comments removed, as two flat lists rather than a tuple per line."""
     if isinstance(data, bytes):
         try:
             text = data.decode("utf-8")
@@ -28,7 +41,8 @@ def _lines(data: Union[bytes, str]) -> list[tuple[int, str]]:
     raws = text.split("\n")
     if "#" in text:
         raws = [raw.split("#", 1)[0] for raw in raws]
-    return [(no, line) for no, raw in enumerate(raws, start=1) if (line := raw.strip())]
+    stripped = list(map(str.strip, raws))
+    return list(compress(count(1), stripped)), list(filter(None, stripped))
 
 
 def _ints(no: int, parts: list[str], what: str) -> list[int]:
@@ -39,10 +53,10 @@ def _ints(no: int, parts: list[str], what: str) -> list[int]:
 
 
 def parse_instance(data: Union[bytes, str]) -> Instance:
-    lines = _lines(data)
+    nos, lines = _lines(data)
     if not lines:
         raise ParseError(0, "empty input")
-    no, header = lines[0]
+    no, header = nos[0], lines[0]
     parts = header.split()
     if len(parts) != 4 or " ".join(parts[:2]) != _HEADER:
         raise ParseError(no, f"bad header {header!r}, expected '{_HEADER} <n> <ground>'")
@@ -53,8 +67,8 @@ def parse_instance(data: Union[bytes, str]) -> Instance:
     relations: list[Partition] = []
     for i in range(n):
         if idx >= len(lines):
-            raise ParseError(lines[-1][0], f"missing 'rel {i}' section")
-        no, line = lines[idx]
+            raise ParseError(nos[-1], f"missing 'rel {i}' section")
+        no, line = nos[idx], lines[idx]
         parts = line.split()
         if len(parts) != 3 or parts[0] != "rel":
             raise ParseError(no, f"expected 'rel {i} <k>', got {line!r}")
@@ -64,26 +78,72 @@ def parse_instance(data: Union[bytes, str]) -> Instance:
         if k < 0:
             raise ParseError(no, "negative class count")
         idx += 1
-        # one pass: convert, canonicalise and check the whole relation; on
-        # any fault the line-by-line check names the first bad line
-        rel = None
-        if idx + k <= len(lines):
-            try:
-                rel = Partition(map(int, cl.split()) for _, cl in lines[idx : idx + k])
-                rel.validate(ground)
-            except ValueError:
-                rel = None
-        if rel is None:
-            rel = Partition(_check_classes(lines, idx, k, i, ground))
-        relations.append(rel)
+        relations.append(_read_relation(nos, lines, idx, k, i, ground))
         idx += k
     if idx != len(lines):
-        raise ParseError(lines[idx][0], "trailing content after last relation")
+        raise ParseError(nos[idx], "trailing content after last relation")
     return Instance(ground, relations)
 
 
+def _read_relation(
+    nos: list[int], lines: list[str], idx: int, k: int, i: int, ground: int
+) -> Partition:
+    """Relation i from its k class lines at lines[idx:]: a canonical block
+    in one numpy pass, any other valid block in one pass of ``int`` per
+    line, and a faulty one line by line to name its first bad line."""
+    block = lines[idx : idx + k]
+    if len(block) == k:
+        rel = _read_canonical("\n".join(block), ground)
+        if rel is not None:
+            return rel
+        try:
+            rel = Partition(map(int, cl.split()) for cl in block)
+            rel.validate(ground)
+            return rel
+        except ValueError:
+            pass
+    return Partition(_check_classes(nos, lines, idx, k, i, ground))
+
+
+def _read_canonical(text: str, ground: int) -> Optional[Partition]:
+    """The relation whose class lines, joined by newlines, are text, if
+    there is at least one and each holds only ASCII digits and spaces and
+    is a canonical class: at least two elements, ascending, each below
+    ground and none listed twice in the relation, with the classes in
+    ascending order of their first element.  None on anything else."""
+    if not text.isascii():
+        return None
+    # a newline before the first line and a space after the last, so that
+    # each line follows a newline and each token has an edge on both sides
+    buf = np.frombuffer(f"\n{text} ".encode("ascii"), np.uint8)
+    digit = (buf - 48) < 10  # uint8 wraps, so only '0'..'9' pass
+    newline = buf == 10
+    if not (digit | newline | (buf == 32)).all():
+        return None
+    edges = np.flatnonzero(digit[1:] != digit[:-1])
+    starts, stops = edges[0::2], edges[1::2]
+    firsts = np.searchsorted(starts, np.flatnonzero(newline))  # each line's first token
+    sizes = np.diff(firsts, append=len(starts))
+    # at most 18 digits, so that no value overflows int64
+    if (sizes < 2).any() or (stops - starts).max() > 18:
+        return None
+    vals = np.fromstring(text, np.int64, sep=" ")
+    rising = np.diff(vals) > 0
+    rising[firsts[1:] - 1] = True  # a class may start below where the last one ended
+    if not rising.all() or (np.diff(vals[firsts]) <= 0).any():
+        return None
+    flat = tuple(vals.tolist())
+    kern = frozenset(flat)
+    span = (flat[0], int(vals.max()))
+    if len(kern) != len(flat) or span[1] >= ground:
+        return None
+    bounds = [*firsts.tolist(), len(flat)]
+    classes = tuple(map(flat.__getitem__, map(slice, bounds, bounds[1:])))
+    return Partition._from_checked(classes, kern, span)
+
+
 def _check_classes(
-    lines: list[tuple[int, str]], idx: int, k: int, i: int, ground: int
+    nos: list[int], lines: list[str], idx: int, k: int, i: int, ground: int
 ) -> list[tuple[int, ...]]:
     """Relation i's k class lines from lines[idx], checked one line at a
     time; raises ParseError at the first bad line."""
@@ -91,8 +151,8 @@ def _check_classes(
     seen: dict[int, int] = {}
     for at in range(idx, idx + k):
         if at >= len(lines):
-            raise ParseError(lines[-1][0], f"missing class line in relation {i}")
-        no, line = lines[at]
+            raise ParseError(nos[-1], f"missing class line in relation {i}")
+        no, line = nos[at], lines[at]
         elems = _ints(no, line.split(), "element")
         if len(elems) < 2:
             raise ParseError(no, f"class size {len(elems)} < 2")
@@ -117,9 +177,8 @@ def write_instance(inst: Instance) -> bytes:
 
 
 def parse_matching(data: Union[bytes, str]) -> Matching:
-    lines = _lines(data)
     entries: dict[int, tuple[int, int]] = {}
-    for no, line in lines:
+    for no, line in zip(*_lines(data)):
         parts = _ints(no, line.split(), "matching field")
         if len(parts) != 3:
             raise ParseError(no, f"expected 'i a b', got {line!r}")

@@ -21,7 +21,12 @@ from grinblat.construct import Telemetry, extend_matching, solve
 from grinblat.core import Instance, Partition, verify_matching
 from grinblat.experiment import ExperimentConfig, run_experiment
 from grinblat.formats import write_instance, write_matching
-from grinblat.gen import gen_lower_bound_family, gen_planted_concentrated, gen_random_hypothesis
+from grinblat.gen import (
+    gen_lower_bound_family,
+    gen_planted_concentrated,
+    gen_random_hypothesis,
+    planted_capacity,
+)
 from grinblat.oracle import exact_solve, search_unmatchable
 from test_oracle import _random_small_instance
 
@@ -99,6 +104,17 @@ def test_uniform_instance_digest(n, c, seed, slack, digest):
 ])
 def test_planted_instance_digest(seed, digest):
     inst, _ = gen_planted_concentrated(100, 32, seed)
+    assert _sha(write_instance(inst)) == digest
+
+
+@pytest.mark.parametrize("n, c, seed, digest", [
+    # above planted_capacity(n), where the core is padded with shared filler
+    (30, 5000, 1, "4693705b67d959f5250ef55cce8ee77b556eea51cdeb15b5f6c25cb5f66a2902"),
+    (200, 5000, 1, "1802485c3760008b3dd6a31e72de80a3df8aa80479dc6aec4b8e92e7f1848f63"),
+])
+def test_planted_filler_instance_digest(n, c, seed, digest):
+    assert c > planted_capacity(n)
+    inst, _ = gen_planted_concentrated(n, c, seed)
     assert _sha(write_instance(inst)) == digest
 
 

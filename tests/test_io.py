@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grinblat import cli
-from grinblat.core import Instance, Matching, Partition
+from grinblat.core import Instance, Matching, Partition, kernel
 from grinblat.errors import ParseError
 from grinblat.experiment import (
     CSV_HEADER,
@@ -170,6 +170,97 @@ def test_parse_instance_reports_injected_defect(n, c, seed, defect, comment, dat
     with pytest.raises(ParseError) as exc:
         parse_instance("\n".join(lines) + "\n")
     assert (exc.value.line_no, str(exc.value)) == (want[0], f"line {want[0]}: {want[1]}")
+
+
+_REWRITES = ["shuffle_lines", "shuffle_elements", "whitespace", "crlf", "comments", "leading_zeros"]
+
+
+def _rewrite(inst: Instance, rewrites: set, rnd) -> str:
+    """write_instance's text for inst with the chosen non-canonical rewrites."""
+    lines = write_instance(inst).decode().split("\n")[:-1]
+    out, at = [lines[0]], 1
+    for rel in inst.relations:
+        k = len(rel.classes)
+        out.append(lines[at])
+        block = [line.split() for line in lines[at + 1 : at + 1 + k]]
+        at += 1 + k
+        if "shuffle_lines" in rewrites:
+            rnd.shuffle(block)
+        for toks in block:
+            if "shuffle_elements" in rewrites:
+                rnd.shuffle(toks)
+            if "leading_zeros" in rewrites:
+                toks = ["0" * rnd.randint(0, 3) + t for t in toks]
+            if "whitespace" in rewrites:
+                gaps = [rnd.choice(["", " ", "\t", "  \t "])] + [
+                    rnd.choice([" ", "   ", "\t", " \t"]) for _ in toks
+                ]
+                out.append("".join(g + t for g, t in zip(gaps, toks + [""])))
+            else:
+                out.append(" ".join(toks))
+    if "comments" in rewrites:
+        noted = []
+        for line in out:
+            noted.append(line + rnd.choice(["", "  # note", "#"]))
+            noted.extend(rnd.choice([[], [""], ["# comment"], ["   "]]))
+        out = noted
+    end = "\r\n" if "crlf" in rewrites else "\n"
+    return end.join(out) + end
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 4), st.integers(-3, 6), st.integers(0, 10**6),
+    st.sets(st.sampled_from(_REWRITES), min_size=1), st.randoms(use_true_random=False),
+)
+def test_parse_instance_non_canonical_text_gives_same_instance(n, c, seed, rewrites, rnd):
+    # any order and whitespace parse to the instance the canonical text gives
+    inst = gen_random_hypothesis(n, c, seed)
+    for data in (write_instance(inst), _rewrite(inst, rewrites, rnd)):
+        parsed = parse_instance(data)
+        assert parsed == inst
+        assert [p.classes for p in parsed.relations] == [p.classes for p in inst.relations]
+
+
+def test_canonical_text_is_read_without_canonicalising(monkeypatch):
+    # every relation of write_instance's output takes the one-pass path,
+    # which builds no Partition through __init__ and fills both caches
+    inst = gen_random_hypothesis(6, 20, seed=3)
+    data = write_instance(inst)
+
+    def no_init(self, classes):
+        raise AssertionError("Partition() called on canonical input")
+
+    monkeypatch.setattr(Partition, "__init__", no_init)
+    parsed = parse_instance(data)
+    monkeypatch.undo()
+    assert parsed == inst
+    for p in parsed.relations:
+        kern = kernel(p)
+        assert p.__dict__["_kernel_cache"] == frozenset(x for cl in p.classes for x in cl)
+        assert p.__dict__["_span_cache"] == (min(kern), max(kern))
+
+
+def test_25_digit_element_names_its_line():
+    big = "1" * 25
+    with pytest.raises(ParseError) as exc:
+        parse_instance(f"grinblat 1 1 4\nrel 0 2\n0 1\n2 {big}\n")
+    assert str(exc.value) == f"line 4: element {big} outside ground set of size 4"
+    # beyond int64, yet inside a larger ground set
+    inst = parse_instance(f"grinblat 1 1 {10**30}\nrel 0 1\n0 {big}\n")
+    assert inst.relations[0].classes == ((0, int(big)),)
+    # leading zeros make a long token, not a large value
+    inst = parse_instance(f"grinblat 1 1 6\nrel 0 1\n{'0' * 24}5 0003\n")
+    assert inst.relations[0].classes == ((3, 5),)
+
+
+def test_no_relations_and_empty_relation():
+    empty = Instance(5, [])
+    assert parse_instance(write_instance(empty)) == empty
+    inst = parse_instance("grinblat 1 2 4\nrel 0 0\nrel 1 1\n0 1\n")
+    assert [p.classes for p in inst.relations] == [(), ((0, 1),)]
+    inst.validate()
+    assert kernel(inst.relations[0]) == frozenset()
 
 
 class TestMatchingFormat:
