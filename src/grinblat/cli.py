@@ -9,6 +9,7 @@ Exit codes: 0 success/matched, 1 proven-none/none-found, 2 error
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from typing import Optional, Sequence
 
@@ -87,7 +88,7 @@ def _cmd_solve(args) -> int:
     res = solve(inst, c=args.c, n_min=args.nmin, telemetry=tel)
     if tel is not None:
         for event in tel.events:
-            print(event, file=sys.stderr)
+            print(json.dumps(event), file=sys.stderr)
     if res.outcome == "matched":
         sys.stdout.buffer.write(write_matching(res.matching))
         return EXIT_OK

@@ -3,40 +3,114 @@
 Elements are dense integer indices 0..ground_size-1.  A partition stores
 only its nontrivial classes (size >= 2); singletons are implicit.  Classes
 are kept internally sorted, and the class list itself is sorted, so equal
-partitions compare equal and serialize identically.
+partitions compare equal and serialize identically.  The classes are held
+as tuples, as CSR arrays, or both (see ``Partition``).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from dataclasses import FrozenInstanceError, dataclass
+from functools import cached_property
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _canon_classes(classes: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(map(tuple, map(sorted, classes))))
 
 
-@dataclass(frozen=True)
 class Partition:
-    """One equivalence relation, given by its nontrivial classes."""
+    """One equivalence relation, given by its nontrivial classes.
 
-    classes: tuple[tuple[int, ...], ...]
+    The canonical classes have two views, each cached and built from the
+    other on first use: ``classes``, a tuple of sorted tuples in order of
+    their first element, and ``_csr``, a pair of int64 arrays holding the
+    elements in class order and the start offset of each class.
+    ``Partition(classes)`` builds only the tuples; the generator's
+    partitions start with only the arrays.  A partition is immutable.
+    """
 
     def __init__(self, classes: Iterable[Iterable[int]]):
+        # object.__setattr__ keeps the attribute in the instance's inline
+        # values; writing self.__dict__ here made exact_solve's runs 10%
+        # slower in the benchmark's oracle workload
         object.__setattr__(self, "classes", _canon_classes(classes))
 
     @classmethod
+    def _from_csr(cls, elems: np.ndarray, starts: np.ndarray) -> "Partition":
+        """A partition of canonical classes given only as CSR arrays: int64
+        elements in class order and the int64 start offset of each class."""
+        p = object.__new__(cls)
+        p.__dict__["_csr_cache"] = (elems, starts)
+        return p
+
+    @classmethod
     def _from_checked(
-        cls, classes: tuple[tuple[int, ...], ...], kern: frozenset[int], span: tuple[int, int]
+        cls,
+        classes: tuple[tuple[int, ...], ...],
+        kern: frozenset[int],
+        span: tuple[int, int],
+        csr: tuple[np.ndarray, np.ndarray],
     ) -> "Partition":
         """A partition of classes the caller has checked to be canonical,
         disjoint and of size >= 2, with their union and its (min, max)
-        cached as the kernel and span; nothing is sorted again."""
+        cached as the kernel and span, and csr as their CSR view; nothing
+        is sorted again."""
         p = object.__new__(cls)
-        object.__setattr__(p, "classes", classes)
-        p.__dict__.update(_kernel_cache=kern, _span_cache=span)
+        p.__dict__.update(
+            classes=classes, _kernel_cache=kern, _span_cache=span, _csr_cache=csr
+        )
         return p
+
+    @cached_property
+    def classes(self) -> tuple[tuple[int, ...], ...]:
+        # once built, the tuples sit in the instance dict, so reading them
+        # costs what reading a plain attribute does
+        elems, starts = self.__dict__["_csr_cache"]
+        return _cut(tuple(elems.tolist()), starts.tolist())
+
+    @property
+    def _csr(self) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        """(elements in class order, start offset of each class) as int64
+        arrays, or None if an element is no int64."""
+        if "_csr_cache" not in self.__dict__:
+            # imported here, not at the top: importing numpy before the
+            # rest of the package made `import grinblat` 20 ms (15%) and the
+            # deep extension step 4% slower, on a 2-vCPU host
+            import numpy as np
+
+            classes = self.classes
+            sizes = np.fromiter(map(len, classes), np.int64, len(classes))
+            flat = list(itertools.chain.from_iterable(classes))
+            # an int beyond int64, a float or a string gives another dtype
+            elems = np.array(flat) if flat else np.zeros(0, np.int64)
+            csr = (elems, np.cumsum(sizes) - sizes) if elems.dtype == np.int64 else None
+            self.__dict__["_csr_cache"] = csr
+        return self.__dict__["_csr_cache"]
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        mine, theirs = self.__dict__.get("_csr_cache"), other.__dict__.get("_csr_cache")
+        if mine is not None and theirs is not None:
+            # both canonical, so equal classes are equal arrays
+            return all(a.shape == b.shape and (a == b).all() for a, b in zip(mine, theirs))
+        return self.classes == other.classes
+
+    def __hash__(self) -> int:
+        return hash((self.classes,))
+
+    def __repr__(self) -> str:
+        return f"Partition(classes={self.classes!r})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     @property
     def _span(self) -> Optional[tuple[int, int]]:
@@ -94,6 +168,13 @@ def kernel(p: Partition) -> frozenset[int]:
         cached = frozenset(itertools.chain.from_iterable(p.classes))
         p.__dict__["_kernel_cache"] = cached
     return cached
+
+
+def _cut(flat: tuple[int, ...], starts: list[int]) -> tuple[tuple[int, ...], ...]:
+    """flat cut into the classes that begin at the offsets in starts."""
+    ends = starts[1:]
+    ends.append(len(flat))
+    return tuple([flat[i:j] for i, j in zip(starts, ends)])
 
 
 @dataclass(frozen=True)

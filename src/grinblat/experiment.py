@@ -47,10 +47,10 @@ class ExperimentConfig:
                 ns=tuple(int(x) for x in raw["ns"]),
                 cs=tuple(int(x) for x in raw["cs"]),
                 trials=int(raw["trials"]),
-                generators=tuple(raw.get("generators", _GENERATORS)),
+                generators=tuple(_typed(raw, "generators", list, _GENERATORS)),
                 n_min=int(raw.get("n_min", 30)),
                 exact_budget=int(raw.get("exact_budget", 10_000_000)),
-                measure_time=bool(raw.get("measure_time", False)),
+                measure_time=_typed(raw, "measure_time", bool, False),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise GrinblatError(f"bad experiment config: {exc}") from exc
@@ -60,6 +60,17 @@ class ExperimentConfig:
         if cfg.trials < 0:
             raise GrinblatError("negative trial count")
         return cfg
+
+
+def _typed(raw: dict, name: str, kind: type, default):
+    """raw[name] if it is a JSON value of kind (list or bool), else default
+    if name is absent; a string such as "false" is rejected, not coerced."""
+    if name not in raw:
+        return default
+    if not isinstance(raw[name], kind):
+        what = "list" if kind is list else "boolean"
+        raise GrinblatError(f"bad experiment config: {name!r} must be a JSON {what}, got {raw[name]!r}")
+    return raw[name]
 
 
 def derive_seed(master: int, index: int) -> int:

@@ -4,13 +4,17 @@ Instance files: a header line ``grinblat 1 <n> <ground_size>``, then for
 each relation a line ``rel <i> <k>`` followed by k class lines of
 space-separated element indices.  UTF-8, LF, '#' starts a comment.
 ``write_instance`` emits the canonical form: each class sorted, classes in
-order of their smallest element, one space between indices.
+order of their smallest element, one space between indices.  It formats a
+relation's digits from its CSR arrays (see ``core.Partition``) in one
+vectorised pass, and joins class by class only a relation that has an
+empty class or an element that is no non-negative int64.
 ``parse_instance`` accepts the classes and their elements in any order,
 with any whitespace, and canonicalises them.  A relation whose class lines
 are canonical and hold only ASCII digits and spaces (as ``write_instance``
-emits them) is checked and converted in one numpy pass.  Any other
-relation is read with ``int`` per line, and a faulty one line by line, so
-that the ``ParseError`` names its first bad line.
+emits them) is checked and converted in one numpy pass, whose arrays it
+keeps as its CSR view.  Any other relation is read with ``int`` per line,
+and a faulty one line by line, so that the ``ParseError`` names its first
+bad line.
 Matching files hold one line ``i a b`` per relation, sorted by i.
 """
 
@@ -21,7 +25,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import Instance, Matching, Partition
+from .core import Instance, Matching, Partition, _cut
 from .errors import ParseError
 
 _HEADER = "grinblat 1"
@@ -137,9 +141,7 @@ def _read_canonical(text: str, ground: int) -> Optional[Partition]:
     span = (flat[0], int(vals.max()))
     if len(kern) != len(flat) or span[1] >= ground:
         return None
-    bounds = [*firsts.tolist(), len(flat)]
-    classes = tuple(map(flat.__getitem__, map(slice, bounds, bounds[1:])))
-    return Partition._from_checked(classes, kern, span)
+    return Partition._from_checked(_cut(flat, firsts.tolist()), kern, span, (vals, firsts))
 
 
 def _check_classes(
@@ -168,12 +170,46 @@ def _check_classes(
 
 
 def write_instance(inst: Instance) -> bytes:
-    out = [f"{_HEADER} {inst.n} {inst.ground_size}"]
+    out = [f"{_HEADER} {inst.n} {inst.ground_size}\n".encode()]
     for i, rel in enumerate(inst.relations):
-        out.append(f"rel {i} {len(rel.classes)}")
-        for cl in rel.classes:
-            out.append(" ".join(map(str, cl)))
-    return ("\n".join(out) + "\n").encode("utf-8")
+        k, lines = _class_lines(rel)
+        out.append(f"rel {i} {k}\n".encode())
+        out.append(lines)
+    return b"".join(out)
+
+
+def _class_lines(rel: Partition) -> tuple[int, bytes]:
+    """The number of rel's classes and their lines, each ended by a
+    newline: formatted from the CSR arrays if every class is non-empty and
+    every element a non-negative int64, else with one join per class."""
+    csr = rel._csr
+    if csr is not None and len(csr[1]):
+        elems, starts = csr
+        if np.diff(starts, append=len(elems)).min() >= 1 and elems.min() >= 0:
+            return len(starts), _digit_lines(elems, starts)
+    classes = rel.classes
+    return len(classes), "".join(" ".join(map(str, cl)) + "\n" for cl in classes).encode()
+
+
+def _digit_lines(elems: np.ndarray, starts: np.ndarray) -> bytes:
+    """The class lines of non-empty classes of non-negative elements, in
+    one vectorised pass.  Row j of cells holds every element's digit of
+    place value 10**(top - 1 - j), and row top its separator: a space, or
+    a newline where its class ends.  Read column by column, the cells that
+    keep marks are the lines: keep drops each element's leading zeros."""
+    top = len(str(int(elems.max())))
+    cells = np.empty((top + 1, len(elems)), np.uint8)
+    keep = np.ones((top + 1, len(elems)), bool)
+    cells[top] = 32
+    cells[top, np.append(starts[1:], len(elems)) - 1] = 10
+    rest = elems
+    for j in range(top - 1, -1, -1):
+        if j < top - 1:
+            np.greater(rest, 0, out=keep[j])
+        higher = rest // 10
+        cells[j] = rest - 10 * higher + 48
+        rest = higher
+    return cells.T[keep.T].tobytes()
 
 
 def parse_matching(data: Union[bytes, str]) -> Matching:

@@ -44,21 +44,44 @@ def gen_random_hypothesis(n: int, c: int, seed: int, slack: int = 0) -> Instance
     ground = math.ceil(1.5 * (math.ceil(16 * n / 5) + c))
     ground = max(ground, bound + 2)
     rng = np.random.default_rng(seed)
-    rels = []
+    cuts, sizes = [], []
     for _ in range(n):
-        elems = rng.permutation(ground).tolist()
-        sizes = rng.integers(2, 4, size=bound // 2 + 1)
+        elems = rng.permutation(ground)
+        drawn = rng.integers(2, 4, size=bound // 2 + 1)
         # Classes of the drawn sizes are cut from the front of elems until
         # they cover bound elements.  Each class starts before bound and
         # has at most 3 elements, so it ends by bound + 2 <= ground and is
         # never clipped; the sizes sum to at least bound + 1, so the draw
         # never runs out.
-        ends = np.cumsum(sizes)
+        ends = np.cumsum(drawn)
         m = int(np.searchsorted(ends, bound)) + 1 if bound > 0 else 0
-        cuts = [0, *ends[:m].tolist()]
-        assert cuts[-1] <= ground
-        rels.append(Partition(map(elems.__getitem__, map(slice, cuts, cuts[1:]))))
-    return Instance(ground, rels)
+        cuts.append(elems[: ends[m - 1] if m else 0])
+        sizes.append(drawn[:m])
+        assert len(cuts[-1]) == sizes[-1].sum()
+    return Instance(ground, _canon_relations(cuts, sizes, ground))
+
+
+def _canon_relations(cuts: list[np.ndarray], sizes: list[np.ndarray], ground: int) -> list[Partition]:
+    """Partitions whose classes are cut from the front of cuts[r] in the
+    sizes sizes[r], for distinct elements below ground, canonicalised for
+    all relations at once.  One sort on the key (r * ground + head) *
+    ground + element, where head is the smallest element of the element's
+    class, orders the relations, the classes of each by their heads, and
+    the elements within each class."""
+    if len(cuts) * ground * ground > np.iinfo(np.int64).max:
+        raise ValueError("n * ground**2 exceeds the int64 sort key")
+    counts = [len(s) for s in sizes]
+    elems, sizes = np.concatenate(cuts), np.concatenate(sizes)
+    heads = np.minimum.reduceat(elems, np.cumsum(sizes) - sizes)
+    heads += np.repeat(np.arange(len(counts)) * ground, counts)
+    key = np.sort(np.repeat(heads * ground, sizes) + elems)
+    group = key // ground  # r * ground + head, the same along each class
+    flat, starts = key - group * ground, np.flatnonzero(np.diff(group, prepend=-1))
+    rels, at, first = [], 0, 0
+    for m, cut in zip(counts, cuts):
+        rels.append(Partition._from_csr(flat[first : first + len(cut)], starts[at : at + m] - first))
+        at, first = at + m, first + len(cut)
+    return rels
 
 
 def planted_capacity(n: int) -> int:

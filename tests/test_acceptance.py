@@ -147,6 +147,7 @@ def test_criterion_1_lower_bound_family(capsys):
         assert time.perf_counter() - start < 60.0
 
 
+@pytest.mark.slow
 def test_criterion_2_v3_evidence(capsys):
     with criterion(capsys, 2, "v(3) evidence"):
         budget = 2_000_000  # same budget both sides, well under 10^8
@@ -158,6 +159,7 @@ def test_criterion_2_v3_evidence(capsys):
         assert none9.witness is None
 
 
+@pytest.mark.slow
 def test_criterion_3_constructive_success(sweep, capsys):
     with criterion(capsys, 3, "constructive success"):
         expected = len(SWEEP_NS) * 2 * SWEEP_SEEDS
@@ -191,6 +193,7 @@ def _deep_pipeline_artifacts():
     return inst, state, ledger, heavy, tables, lucky, compat
 
 
+@pytest.mark.slow
 def test_criterion_4_charging_invariants(sweep, capsys):
     with criterion(capsys, 4, "charging invariants"):
         # every scheme invariant is asserted inside the pipeline and raises
@@ -221,6 +224,7 @@ def test_criterion_4_charging_invariants(sweep, capsys):
             assert len(ki) - charged <= 6  # uncharged cap per heavy index
 
 
+@pytest.mark.slow
 def test_criterion_5_structural_lemmas(sweep, capsys):
     with criterion(capsys, 5, "structural lemma checks"):
         # bipartiteness is checked on every constructive run (odd cycles

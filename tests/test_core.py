@@ -1,5 +1,6 @@
 """Core data model tests: partitions, kernels, verification, normalization."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,8 @@ from grinblat.core import (
     normalize,
     verify_matching,
 )
+from grinblat.formats import parse_instance, write_instance
+from grinblat.gen import gen_random_hypothesis
 
 
 class TestPartition:
@@ -212,3 +215,83 @@ def test_normalize_single_class_properties(k):
     assert sum(len(c) for c in classes) == k
     assert all(2 <= len(c) <= 3 for c in classes)
     assert kernel(out.relations[0]) == frozenset(range(k))
+
+
+# ------------------------------------------------ the tuple and CSR views
+
+
+def _from_arrays(classes) -> Partition:
+    # the array-only partition of classes, as the generator builds one
+    canon = Partition(classes).classes
+    sizes = [len(cl) for cl in canon]
+    elems = np.array([x for cl in canon for x in cl], np.int64)
+    starts = np.cumsum([0, *sizes[:-1]]) if sizes else np.zeros(0, np.int64)
+    return Partition._from_csr(elems, starts.astype(np.int64))
+
+
+def _reference_write(inst: Instance) -> bytes:
+    # write_instance with one join per class, as it was before the CSR view
+    out = [f"grinblat 1 {inst.n} {inst.ground_size}"]
+    for i, rel in enumerate(inst.relations):
+        out.append(f"rel {i} {len(rel.classes)}")
+        out.extend(" ".join(map(str, cl)) for cl in rel.classes)
+    return ("\n".join(out) + "\n").encode()
+
+
+_class_lists = st.lists(st.lists(st.integers(-2, 12), max_size=4), max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_class_lists, max_size=3), _class_lists, st.integers(0, 14))
+def test_array_and_tuple_views_agree(relations, other, ground):
+    # classes may be invalid (small, overlapping, out of range) and
+    # relations may be empty; an instance may have none
+    tuple_born = [Partition(cls) for cls in relations]
+    inst = Instance(ground, [_from_arrays(cls) for cls in relations])
+    # equal arrays answer == before any tuple is built
+    assert inst == Instance(ground, [_from_arrays(cls) for cls in relations])
+    assert all("classes" not in p.__dict__ for p in inst.relations)
+    assert write_instance(inst) == _reference_write(Instance(ground, tuple_born))
+    assert write_instance(Instance(ground, tuple_born)) == write_instance(inst)
+    for a, cls in zip(tuple_born, relations):
+        b = _from_arrays(cls)
+        assert (a == b, b == a) == (True, True)
+        assert b.classes == a.classes and hash(b) == hash(a)
+        assert kernel(_from_arrays(cls)) == kernel(a)
+        assert _outcome(_from_arrays(cls).validate, ground) == _outcome(a.validate, ground)
+        for x in range(-2, 13):
+            assert b.class_of(x) == a.class_of(x)
+        # a tuple-born partition and an array-born one compare by their
+        # arrays once both have them
+        for p, q in ((a, _from_arrays(other)), (_from_arrays(other), a)):
+            assert p._csr is not None and q._csr is not None
+            assert (p == q) == (Partition(cls).classes == Partition(other).classes)
+
+
+def test_tuple_born_partition_builds_no_array():
+    p = Partition([(4, 1), (0, 3, 2)])
+    p.validate(5)
+    assert (p.classes, kernel(p), p.class_of(3)) == (((0, 2, 3), (1, 4)), {0, 1, 2, 3, 4}, (0, 2, 3))
+    assert p == Partition([(1, 4), (2, 3, 0)])
+    assert "_csr_cache" not in p.__dict__
+
+
+def test_generated_partitions_build_tuples_only_when_read():
+    inst = gen_random_hypothesis(6, 20, seed=5)
+    data = write_instance(inst)
+    assert parse_instance(data) == inst
+    assert all("classes" not in p.__dict__ for p in inst.relations)
+    assert [p.classes for p in inst.relations] == [p.classes for p in parse_instance(data).relations]
+    assert all("classes" in p.__dict__ for p in inst.relations)
+
+
+@pytest.mark.parametrize("classes", [
+    [(2**63, 1)],  # beyond int64: no CSR view at all
+    [(0, 2**63 - 1), (5, 10**19, 3)],
+    [(-1, 3), (7, 8, 100)],  # negative: the view exists, the digits do not
+    [(-(2**63) - 5, 0)],
+    [(0.5, 1)],  # no int at all: written as before, not truncated
+])
+def test_elements_outside_the_digit_pass_keep_the_class_join(classes):
+    inst = Instance(4, [Partition(classes), Partition([(0, 9, 10, 99, 100, 10**18)])])
+    assert write_instance(inst) == _reference_write(inst)

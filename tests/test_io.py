@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grinblat import cli
+from grinblat.construct import Telemetry, solve
 from grinblat.core import Instance, Matching, Partition, kernel
 from grinblat.errors import ParseError
 from grinblat.experiment import (
@@ -300,6 +301,25 @@ class TestCli:
         assert cli.main(["verify", inst_path, m_path]) == 0
         assert "valid" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("inst, c, nmin", [
+        (gen_random_hypothesis(30, 100, seed=2), 100, 30),
+        # greedy, then extend_matching's exact fallback, then greedy again
+        (Instance(10, [
+            Partition([(0, 1, 2)]),
+            Partition([(0, 1, 2, 3), (8, 9)]),
+            Partition([(0, 2), (1, 3)]),
+            Partition([(4, 5), (6, 7)]),
+        ]), -100, 1),
+    ])
+    def test_solve_telemetry_is_json_lines(self, tmp_path, capsys, inst, c, nmin):
+        path = self._write(tmp_path, "inst.txt", write_instance(inst))
+        assert cli.main(["solve", path, "--c", str(c), "--nmin", str(nmin), "--telemetry"]) == 0
+        events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        tel = Telemetry()
+        solve(inst, c=c, n_min=nmin, telemetry=tel)
+        assert [e["phase"] for e in events] == tel.phases()
+        assert events == json.loads(json.dumps(tel.events))
+
     def test_verify_rejects_bad_matching(self, tmp_path, capsys):
         inst = Instance(4, [Partition([(0, 1)])])
         inst_path = self._write(tmp_path, "i.txt", write_instance(inst))
@@ -428,6 +448,19 @@ class TestExperiment:
                     }
                 )
             )
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("measure_time", "false", "'measure_time' must be a JSON boolean, got 'false'"),
+        ("measure_time", 1, "'measure_time' must be a JSON boolean, got 1"),
+        ("generators", "uniform", "'generators' must be a JSON list, got 'uniform'"),
+    ])
+    def test_config_rejects_wrong_json_type(self, field, value, message):
+        from grinblat.errors import GrinblatError
+
+        raw = {"master_seed": 1, "ns": [30], "cs": [8], "trials": 1, field: value}
+        with pytest.raises(GrinblatError) as exc:
+            ExperimentConfig.from_json(json.dumps(raw))
+        assert str(exc.value) == f"bad experiment config: {message}"
 
     def test_from_json_round_trip(self):
         cfg = ExperimentConfig.from_json(
