@@ -3,8 +3,8 @@
 Elements are dense integer indices 0..ground_size-1.  A partition stores
 only its nontrivial classes (size >= 2); singletons are implicit.  Classes
 are kept internally sorted, and the class list itself is sorted, so equal
-partitions compare equal and serialize identically.  The classes are held
-as tuples, as CSR arrays, or both (see ``Partition``).
+partitions compare equal and serialize identically.  The generator's
+partitions start from CSR arrays instead (see ``CsrPartition``).
 """
 
 from __future__ import annotations
@@ -23,15 +23,9 @@ def _canon_classes(classes: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], .
 
 
 class Partition:
-    """One equivalence relation, given by its nontrivial classes.
-
-    The canonical classes have two views, each cached and built from the
-    other on first use: ``classes``, a tuple of sorted tuples in order of
-    their first element, and ``_csr``, a pair of int64 arrays holding the
-    elements in class order and the start offset of each class.
-    ``Partition(classes)`` builds only the tuples; the generator's
-    partitions start with only the arrays.  A partition is immutable.
-    """
+    """One equivalence relation, given by its nontrivial classes: the
+    tuple ``classes`` of sorted tuples, in order of their first element.
+    A partition is immutable."""
 
     def __init__(self, classes: Iterable[Iterable[int]]):
         # object.__setattr__ keeps the attribute in the instance's inline
@@ -40,64 +34,20 @@ class Partition:
         object.__setattr__(self, "classes", _canon_classes(classes))
 
     @classmethod
-    def _from_csr(cls, elems: np.ndarray, starts: np.ndarray) -> "Partition":
-        """A partition of canonical classes given only as CSR arrays: int64
-        elements in class order and the int64 start offset of each class."""
-        p = object.__new__(cls)
-        p.__dict__["_csr_cache"] = (elems, starts)
-        return p
-
-    @classmethod
     def _from_checked(
-        cls,
-        classes: tuple[tuple[int, ...], ...],
-        kern: frozenset[int],
-        span: tuple[int, int],
-        csr: tuple[np.ndarray, np.ndarray],
+        cls, classes: tuple[tuple[int, ...], ...], kern: frozenset[int], span: tuple[int, int]
     ) -> "Partition":
         """A partition of classes the caller has checked to be canonical,
         disjoint and of size >= 2, with their union and its (min, max)
-        cached as the kernel and span, and csr as their CSR view; nothing
-        is sorted again."""
+        cached as the kernel and span; nothing is sorted again."""
         p = object.__new__(cls)
-        p.__dict__.update(
-            classes=classes, _kernel_cache=kern, _span_cache=span, _csr_cache=csr
-        )
+        object.__setattr__(p, "classes", classes)
+        p.__dict__.update(_kernel_cache=kern, _span_cache=span)
         return p
 
-    @cached_property
-    def classes(self) -> tuple[tuple[int, ...], ...]:
-        # once built, the tuples sit in the instance dict, so reading them
-        # costs what reading a plain attribute does
-        elems, starts = self.__dict__["_csr_cache"]
-        return _cut(tuple(elems.tolist()), starts.tolist())
-
-    @property
-    def _csr(self) -> Optional[tuple[np.ndarray, np.ndarray]]:
-        """(elements in class order, start offset of each class) as int64
-        arrays, or None if an element is no int64."""
-        if "_csr_cache" not in self.__dict__:
-            # imported here, not at the top: importing numpy before the
-            # rest of the package made `import grinblat` 20 ms (15%) and the
-            # deep extension step 4% slower, on a 2-vCPU host
-            import numpy as np
-
-            classes = self.classes
-            sizes = np.fromiter(map(len, classes), np.int64, len(classes))
-            flat = list(itertools.chain.from_iterable(classes))
-            # an int beyond int64, a float or a string gives another dtype
-            elems = np.array(flat) if flat else np.zeros(0, np.int64)
-            csr = (elems, np.cumsum(sizes) - sizes) if elems.dtype == np.int64 else None
-            self.__dict__["_csr_cache"] = csr
-        return self.__dict__["_csr_cache"]
-
     def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
+        if not isinstance(other, Partition):
             return NotImplemented
-        mine, theirs = self.__dict__.get("_csr_cache"), other.__dict__.get("_csr_cache")
-        if mine is not None and theirs is not None:
-            # both canonical, so equal classes are equal arrays
-            return all(a.shape == b.shape and (a == b).all() for a, b in zip(mine, theirs))
         return self.classes == other.classes
 
     def __hash__(self) -> int:
@@ -146,7 +96,7 @@ class Partition:
 
     @property
     def _class_index(self) -> dict[int, tuple[int, ...]]:
-        # cached on first use; the dataclass is frozen so this is safe
+        # cached on first use; safe, as the classes never change
         idx = self.__dict__.get("_class_index_cache")
         if idx is None:
             idx = {x: cl for cl in self.classes for x in cl}
@@ -159,6 +109,27 @@ class Partition:
 
     def equivalent(self, x: int, y: int) -> bool:
         return x == y or y in self.class_of(x)
+
+
+class CsrPartition(Partition):
+    """A partition born from its canonical classes as CSR arrays
+    (compressed sparse rows): ``elems``, the int64 elements in class
+    order, and ``starts``, the int64 start offset of each class.  Every
+    element is non-negative and every class non-empty, so that
+    ``write_instance`` can format the arrays digit by digit.  The
+    ``classes`` tuples are built from the arrays when first read.
+
+    Only this subclass has ``classes`` as a descriptor.  That makes each
+    read of it slower (by half in CPython 3.11, where the read is no longer
+    specialised); partitions of any other origin read a plain attribute."""
+
+    def __init__(self, elems: np.ndarray, starts: np.ndarray):
+        object.__setattr__(self, "elems", elems)
+        object.__setattr__(self, "starts", starts)
+
+    @cached_property
+    def classes(self) -> tuple[tuple[int, ...], ...]:
+        return _cut(tuple(self.elems.tolist()), self.starts.tolist())
 
 
 def kernel(p: Partition) -> frozenset[int]:

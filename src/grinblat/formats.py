@@ -4,17 +4,16 @@ Instance files: a header line ``grinblat 1 <n> <ground_size>``, then for
 each relation a line ``rel <i> <k>`` followed by k class lines of
 space-separated element indices.  UTF-8, LF, '#' starts a comment.
 ``write_instance`` emits the canonical form: each class sorted, classes in
-order of their smallest element, one space between indices.  It formats a
-relation's digits from its CSR arrays (see ``core.Partition``) in one
-vectorised pass, and joins class by class only a relation that has an
-empty class or an element that is no non-negative int64.
+order of their smallest element, one space between indices.  It formats
+the digits of a relation that holds CSR arrays (the generator's, see
+``core.CsrPartition``) in one vectorised pass, and joins any other relation's
+lines class by class.
 ``parse_instance`` accepts the classes and their elements in any order,
 with any whitespace, and canonicalises them.  A relation whose class lines
 are canonical and hold only ASCII digits and spaces (as ``write_instance``
-emits them) is checked and converted in one numpy pass, whose arrays it
-keeps as its CSR view.  Any other relation is read with ``int`` per line,
-and a faulty one line by line, so that the ``ParseError`` names its first
-bad line.
+emits them) is checked and converted in one numpy pass.  Any other
+relation is read with ``int`` per line, and a faulty one line by line, so
+that the ``ParseError`` names its first bad line.
 Matching files hold one line ``i a b`` per relation, sorted by i.
 """
 
@@ -25,7 +24,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import Instance, Matching, Partition, _cut
+from .core import CsrPartition, Instance, Matching, Partition, _cut
 from .errors import ParseError
 
 _HEADER = "grinblat 1"
@@ -141,7 +140,7 @@ def _read_canonical(text: str, ground: int) -> Optional[Partition]:
     span = (flat[0], int(vals.max()))
     if len(kern) != len(flat) or span[1] >= ground:
         return None
-    return Partition._from_checked(_cut(flat, firsts.tolist()), kern, span, (vals, firsts))
+    return Partition._from_checked(_cut(flat, firsts.tolist()), kern, span)
 
 
 def _check_classes(
@@ -180,13 +179,10 @@ def write_instance(inst: Instance) -> bytes:
 
 def _class_lines(rel: Partition) -> tuple[int, bytes]:
     """The number of rel's classes and their lines, each ended by a
-    newline: formatted from the CSR arrays if every class is non-empty and
-    every element a non-negative int64, else with one join per class."""
-    csr = rel._csr
-    if csr is not None and len(csr[1]):
-        elems, starts = csr
-        if np.diff(starts, append=len(elems)).min() >= 1 and elems.min() >= 0:
-            return len(starts), _digit_lines(elems, starts)
+    newline: formatted from the CSR arrays if rel holds them, else with
+    one join per class."""
+    if isinstance(rel, CsrPartition):
+        return len(rel.starts), _digit_lines(rel.elems, rel.starts)
     classes = rel.classes
     return len(classes), "".join(" ".join(map(str, cl)) + "\n" for cl in classes).encode()
 
@@ -197,6 +193,8 @@ def _digit_lines(elems: np.ndarray, starts: np.ndarray) -> bytes:
     place value 10**(top - 1 - j), and row top its separator: a space, or
     a newline where its class ends.  Read column by column, the cells that
     keep marks are the lines: keep drops each element's leading zeros."""
+    if not len(elems):
+        return b""
     top = len(str(int(elems.max())))
     cells = np.empty((top + 1, len(elems)), np.uint8)
     keep = np.ones((top + 1, len(elems)), bool)

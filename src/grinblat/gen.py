@@ -23,7 +23,7 @@ from typing import Optional, Sequence, Union
 
 from .construct.charging import charge_scheme_2
 from .construct.state import ChargeLedger, Component, TrackState
-from .core import Instance, Partition
+from .core import CsrPartition, Instance, Partition
 from .errors import InfeasibleFixture
 
 
@@ -79,7 +79,7 @@ def _canon_relations(cuts: list[np.ndarray], sizes: list[np.ndarray], ground: in
     flat, starts = key - group * ground, np.flatnonzero(np.diff(group, prepend=-1))
     rels, at, first = [], 0, 0
     for m, cut in zip(counts, cuts):
-        rels.append(Partition._from_csr(flat[first : first + len(cut)], starts[at : at + m] - first))
+        rels.append(CsrPartition(flat[first : first + len(cut)], starts[at : at + m] - first))
         at, first = at + m, first + len(cut)
     return rels
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grinblat.core import (
+    CsrPartition,
     Instance,
     KernelInfo,
     Matching,
@@ -220,13 +221,13 @@ def test_normalize_single_class_properties(k):
 # ------------------------------------------------ the tuple and CSR views
 
 
-def _from_arrays(classes) -> Partition:
-    # the array-only partition of classes, as the generator builds one
+def _from_arrays(classes) -> CsrPartition:
+    # the array-born partition of classes, as the generator builds one
     canon = Partition(classes).classes
     sizes = [len(cl) for cl in canon]
     elems = np.array([x for cl in canon for x in cl], np.int64)
     starts = np.cumsum([0, *sizes[:-1]]) if sizes else np.zeros(0, np.int64)
-    return Partition._from_csr(elems, starts.astype(np.int64))
+    return CsrPartition(elems, starts.astype(np.int64))
 
 
 def _reference_write(inst: Instance) -> bytes:
@@ -238,7 +239,8 @@ def _reference_write(inst: Instance) -> bytes:
     return ("\n".join(out) + "\n").encode()
 
 
-_class_lists = st.lists(st.lists(st.integers(-2, 12), max_size=4), max_size=5)
+# the generator's partitions hold non-negative elements and no empty class
+_class_lists = st.lists(st.lists(st.integers(0, 12), min_size=1, max_size=4), max_size=5)
 
 
 @settings(max_examples=300, deadline=None)
@@ -248,11 +250,11 @@ def test_array_and_tuple_views_agree(relations, other, ground):
     # relations may be empty; an instance may have none
     tuple_born = [Partition(cls) for cls in relations]
     inst = Instance(ground, [_from_arrays(cls) for cls in relations])
-    # equal arrays answer == before any tuple is built
-    assert inst == Instance(ground, [_from_arrays(cls) for cls in relations])
-    assert all("classes" not in p.__dict__ for p in inst.relations)
     assert write_instance(inst) == _reference_write(Instance(ground, tuple_born))
     assert write_instance(Instance(ground, tuple_born)) == write_instance(inst)
+    # writing built no tuple
+    assert all("classes" not in p.__dict__ for p in inst.relations)
+    assert inst == Instance(ground, tuple_born)
     for a, cls in zip(tuple_born, relations):
         b = _from_arrays(cls)
         assert (a == b, b == a) == (True, True)
@@ -261,11 +263,9 @@ def test_array_and_tuple_views_agree(relations, other, ground):
         assert _outcome(_from_arrays(cls).validate, ground) == _outcome(a.validate, ground)
         for x in range(-2, 13):
             assert b.class_of(x) == a.class_of(x)
-        # a tuple-born partition and an array-born one compare by their
-        # arrays once both have them
+        same = Partition(cls).classes == Partition(other).classes
         for p, q in ((a, _from_arrays(other)), (_from_arrays(other), a)):
-            assert p._csr is not None and q._csr is not None
-            assert (p == q) == (Partition(cls).classes == Partition(other).classes)
+            assert (p == q, p != q) == (same, not same)
 
 
 def test_tuple_born_partition_builds_no_array():
@@ -273,25 +273,27 @@ def test_tuple_born_partition_builds_no_array():
     p.validate(5)
     assert (p.classes, kernel(p), p.class_of(3)) == (((0, 2, 3), (1, 4)), {0, 1, 2, 3, 4}, (0, 2, 3))
     assert p == Partition([(1, 4), (2, 3, 0)])
-    assert "_csr_cache" not in p.__dict__
+    assert write_instance(Instance(5, [p])) == b"grinblat 1 1 5\nrel 0 2\n0 2 3\n1 4\n"
+    assert not any(isinstance(v, np.ndarray) for v in vars(p).values())
 
 
 def test_generated_partitions_build_tuples_only_when_read():
     inst = gen_random_hypothesis(6, 20, seed=5)
     data = write_instance(inst)
-    assert parse_instance(data) == inst
     assert all("classes" not in p.__dict__ for p in inst.relations)
-    assert [p.classes for p in inst.relations] == [p.classes for p in parse_instance(data).relations]
+    assert parse_instance(data) == inst
     assert all("classes" in p.__dict__ for p in inst.relations)
 
 
 @pytest.mark.parametrize("classes", [
-    [(2**63, 1)],  # beyond int64: no CSR view at all
+    [(2**63, 1)],  # beyond int64
     [(0, 2**63 - 1), (5, 10**19, 3)],
-    [(-1, 3), (7, 8, 100)],  # negative: the view exists, the digits do not
+    [(-1, 3), (7, 8, 100)],
     [(-(2**63) - 5, 0)],
     [(0.5, 1)],  # no int at all: written as before, not truncated
 ])
-def test_elements_outside_the_digit_pass_keep_the_class_join(classes):
-    inst = Instance(4, [Partition(classes), Partition([(0, 9, 10, 99, 100, 10**18)])])
-    assert write_instance(inst) == _reference_write(inst)
+def test_tuple_born_partitions_keep_the_class_join(classes):
+    # next to an array-born relation whose elements span 1 to 19 digits
+    wide = [(0, 9, 10, 99, 100, 10**18)]
+    inst = Instance(4, [Partition(classes), _from_arrays(wide)])
+    assert write_instance(inst) == _reference_write(Instance(4, [Partition(classes), Partition(wide)]))
