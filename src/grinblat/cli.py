@@ -67,7 +67,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("kernel_target", type=int)
     sp.add_argument("max_ground", type=int)
     sp.add_argument("--budget", type=int, default=10**8)
-    sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("experiment", help="run a sweep from a JSON config")
     sp.add_argument("config")
@@ -142,9 +141,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    res = search_unmatchable(
-        args.n, args.kernel_target, args.max_ground, budget=args.budget, seed=args.seed
-    )
+    res = search_unmatchable(args.n, args.kernel_target, args.max_ground, budget=args.budget)
     if res.witness is not None:
         sys.stdout.buffer.write(write_instance(res.witness))
         return EXIT_OK

@@ -15,6 +15,7 @@ from typing import Optional
 
 from ..core import Matching
 from ..errors import CompletionImpossible, InternalLogicError
+from .charging import direct_pair
 from .completion import complete_assignment
 from .heavy import pick_heavy_pair_elements
 from .state import ChargeLedger, LuckyData, Telemetry, TrackState
@@ -174,11 +175,9 @@ def _check_exclusion_bound(state: TrackState, y: frozenset[int], c: int) -> None
 
 
 def _free_pair(state: TrackState, lucky: LuckyData, y: frozenset[int]) -> tuple[int, int]:
-    rel = state.relation_at(lucky.jstar)
-    for cl in rel.classes:
-        free = [e for e in cl if e not in y]
-        if len(free) >= 2:
-            return (free[0], free[1])
+    pair = direct_pair(state.relation_at(lucky.jstar), y)
+    if pair is not None:
+        return pair
     raise InternalLogicError(
         "final_win",
         f"no pair of relation at position {lucky.jstar} avoids the exclusion set",

@@ -43,16 +43,16 @@ class ExperimentConfig:
             raise GrinblatError(f"bad experiment config: {exc}") from exc
         try:
             cfg = cls(
-                master_seed=int(raw["master_seed"]),
-                ns=tuple(int(x) for x in raw["ns"]),
-                cs=tuple(int(x) for x in raw["cs"]),
-                trials=int(raw["trials"]),
-                generators=tuple(_typed(raw, "generators", list, _GENERATORS)),
-                n_min=int(raw.get("n_min", 30)),
-                exact_budget=int(raw.get("exact_budget", 10_000_000)),
-                measure_time=_typed(raw, "measure_time", bool, False),
+                master_seed=_typed(raw, "master_seed", "integer"),
+                ns=tuple(_typed(raw, "ns", "list of integers")),
+                cs=tuple(_typed(raw, "cs", "list of integers")),
+                trials=_typed(raw, "trials", "integer"),
+                generators=tuple(_typed(raw, "generators", "list", _GENERATORS)),
+                n_min=_typed(raw, "n_min", "integer", 30),
+                exact_budget=_typed(raw, "exact_budget", "integer", 10_000_000),
+                measure_time=_typed(raw, "measure_time", "boolean", False),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise GrinblatError(f"bad experiment config: {exc}") from exc
         for g in cfg.generators:
             if g not in _GENERATORS:
@@ -62,14 +62,28 @@ class ExperimentConfig:
         return cfg
 
 
-def _typed(raw: dict, name: str, kind: type, default):
-    """raw[name] if it is a JSON value of kind (list or bool), else default
-    if name is absent; a string such as "false" is rejected, not coerced."""
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+_KINDS = {
+    "boolean": lambda v: isinstance(v, bool),
+    "integer": _is_int,
+    "list": lambda v: isinstance(v, list),
+    "list of integers": lambda v: isinstance(v, list) and all(map(_is_int, v)),
+}
+
+
+def _typed(raw: dict, name: str, kind: str, default=None):
+    """raw[name] if it is a JSON value of kind, a key of _KINDS; default if
+    name is absent, or KeyError if there is none.  Nothing is coerced: a
+    string such as "false" or "30", a float or true is rejected."""
     if name not in raw:
+        if default is None:
+            raise KeyError(name)
         return default
-    if not isinstance(raw[name], kind):
-        what = "list" if kind is list else "boolean"
-        raise GrinblatError(f"bad experiment config: {name!r} must be a JSON {what}, got {raw[name]!r}")
+    if not _KINDS[kind](raw[name]):
+        raise GrinblatError(f"bad experiment config: {name!r} must be a JSON {kind}, got {raw[name]!r}")
     return raw[name]
 
 

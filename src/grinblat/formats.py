@@ -92,20 +92,16 @@ def _read_relation(
     nos: list[int], lines: list[str], idx: int, k: int, i: int, ground: int
 ) -> Partition:
     """Relation i from its k class lines at lines[idx:]: a canonical block
-    in one numpy pass, any other valid block in one pass of ``int`` per
-    line, and a faulty one line by line to name its first bad line."""
+    in one numpy pass, and any other line by line, which names the first
+    bad line.  Either way the relation's kernel is cached."""
     block = lines[idx : idx + k]
     if len(block) == k:
         rel = _read_canonical("\n".join(block), ground)
         if rel is not None:
             return rel
-        try:
-            rel = Partition(map(int, cl.split()) for cl in block)
-            rel.validate(ground)
-            return rel
-        except ValueError:
-            pass
-    return Partition(_check_classes(nos, lines, idx, k, i, ground))
+    rel = Partition(_check_classes(nos, lines, idx, k, i, ground))
+    rel.validate(ground)
+    return rel
 
 
 def _read_canonical(text: str, ground: int) -> Optional[Partition]:

@@ -5,14 +5,14 @@ to certify matchings and non-matchings at small scale.  It runs on an
 explicit stack, so its depth has no limit, and each node narrows its
 parent's available-pair lists instead of rebuilding them.
 search_unmatchable hunts for extremal witnesses: instances whose kernels
-all reach a target size yet admit no rainbow matching.
+all reach a target size yet admit no rainbow matching.  It makes one
+deterministic pass, so equal arguments give equal results.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -119,14 +119,12 @@ def _partitions_23(elems: Sequence[int]) -> Iterator[tuple[tuple[int, ...], ...]
 
 
 def _count_partitions_23(k: int) -> int:
-    if k == 0:
-        return 1
-    if k == 1:
-        return 0
-    total = (k - 1) * _count_partitions_23(k - 2)
-    if k >= 3:
-        total += (k - 1) * (k - 2) // 2 * _count_partitions_23(k - 3)
-    return total
+    """The number of partitions of k elements into blocks of size 2 or 3:
+    the first element's block takes one or two of the other k - 1."""
+    counts = [1, 0, 1]
+    for m in range(3, k + 1):
+        counts.append((m - 1) * counts[m - 2] + (m - 1) * (m - 2) // 2 * counts[m - 3])
+    return counts[k]
 
 
 def _shapes(k: int) -> list[tuple[int, ...]]:
@@ -144,58 +142,29 @@ def search_unmatchable(
     kernel_target: int,
     max_ground: int,
     budget: int = 10**8,
-    seed: int = 0,
 ) -> SearchResult:
-    """DFS over canonical instances with every kernel exactly kernel_target.
+    """One deterministic pass over canonical instances with every kernel
+    exactly kernel_target, ground size by ground size.
 
     Restricting kernels to exactly the target loses no witnesses: dropping
     whole classes keeps an instance unmatchable, so a minimal witness sits
     at the target.  Relation 1 is fixed to consecutive canonical blocks per
     shape (killing the element-relabeling symmetry), and the remaining
     relations are chosen in nondecreasing candidate order (relations are
-    exchangeable).  After a full deterministic pass, seeded shuffled passes
-    reorder the candidates until the budget runs out.
+    exchangeable).  The pass stops before a ground size whose estimated
+    node count would overrun the budget, or once the budget is spent; then
+    the result is not exhausted.
     """
     if n < 1 or kernel_target < 2:
         return SearchResult(None, 0, 0, True)
     nodes = 0
-
-    def certify(rels: list[Partition], ground: int) -> Optional[Instance]:
-        nonlocal nodes
-        inst = Instance(ground, rels)
-        res = exact_solve(inst, budget=budget - nodes)
-        nodes += res.nodes
-        return inst if res.outcome == "proven-none" else None
-
-    rng = random.Random(seed)
-    for restart in range(64):
-        if nodes >= budget:
-            break
-        found, complete = _search_pass(
-            n, kernel_target, max_ground, budget, rng if restart else None, certify,
-            lambda: nodes,
-        )
-        if found is not None:
-            return SearchResult(found, found.ground_size, nodes, False)
-        if restart == 0 and complete:
-            # the deterministic pass covered everything; no point reshuffling
-            return SearchResult(None, 0, nodes, True)
-    return SearchResult(None, 0, nodes, False)
-
-
-def _search_pass(n, kernel_target, max_ground, budget, rng, certify, node_count):
-    """One pass over all (ground, shape) cells.  Returns (witness, complete)."""
-    complete = True
     for ground in range(kernel_target, max_ground + 1):
         est = math.comb(ground, kernel_target) * _count_partitions_23(kernel_target)
-        if node_count() + est > budget:
-            complete = False
-            break
+        if nodes + est > budget:
+            return SearchResult(None, 0, nodes, False)
         candidates: list[tuple[tuple[int, ...], ...]] = []
         for support in itertools.combinations(range(ground), kernel_target):
             candidates.extend(_partitions_23(support))
-        if rng is not None:
-            rng.shuffle(candidates)
         # each candidate's Partition, built on first visit and kept for the
         # cell's shapes, so its kernel and pair list are computed once
         parts: list[Optional[Partition]] = [None] * len(candidates)
@@ -206,47 +175,21 @@ def _search_pass(n, kernel_target, max_ground, budget, rng, certify, node_count)
                 blocks.append(tuple(range(at, at + sz)))
                 at += sz
             rel1 = Partition(blocks)
-            witness = _dfs_relations(
-                n, ground, rel1, candidates, parts, budget, certify, node_count
-            )
-            if witness is not None:
-                return witness, False
-            if node_count() >= budget:
-                return None, False
-    return None, complete
-
-
-def _dfs_relations(n, ground, rel1, candidates, parts, budget, certify, node_count):
-    """Certify every nondecreasing choice of candidates for relations 2..n,
-    depth-first on an explicit stack; the first witness found is returned.
-    parts[i] memoises Partition(candidates[i])."""
-    if n == 1:
-        return certify([rel1], ground)
-    chosen: list[Partition] = [rel1]
-    # starts[d]: the next candidate index for relation d + 2
-    starts = [0]
-    while starts:
-        idx = starts[-1]
-        if idx == len(candidates):
-            starts.pop()
-            if starts:
-                chosen.pop()
-            continue
-        if node_count() >= budget:
-            return None
-        starts[-1] = idx + 1
-        part = parts[idx]
-        if part is None:
-            part = parts[idx] = Partition(candidates[idx])
-        chosen.append(part)
-        if len(chosen) < n:
-            starts.append(idx)
-            continue
-        found = certify(list(chosen), ground)
-        if found is not None:
-            return found
-        chosen.pop()
-    return None
+            for choice in itertools.combinations_with_replacement(range(len(candidates)), n - 1):
+                if nodes >= budget:
+                    return SearchResult(None, 0, nodes, False)
+                rels = [rel1]
+                for i in choice:
+                    if parts[i] is None:
+                        parts[i] = Partition(candidates[i])
+                    rels.append(parts[i])
+                inst = Instance(ground, rels)
+                res = exact_solve(inst, budget=budget - nodes)
+                nodes += res.nodes
+                if res.outcome == "proven-none":
+                    return SearchResult(inst, ground, nodes, False)
+    # a budget spent in the last cell may have cut it short
+    return SearchResult(None, 0, nodes, nodes < budget)
 
 
 @dataclass(frozen=True)
@@ -256,9 +199,7 @@ class KernelEstimate:
     exhausted: bool
 
 
-def min_unmatchable_kernel(
-    n: int, max_ground: int = 12, budget: int = 10**7, seed: int = 0
-) -> KernelEstimate:
+def min_unmatchable_kernel(n: int, max_ground: int = 12, budget: int = 10**7) -> KernelEstimate:
     """Largest kernel target for which the bounded search finds a witness.
 
     Descends from 3n - 1; the 3n - 3 family guarantees termination.  The
@@ -266,7 +207,7 @@ def min_unmatchable_kernel(
     """
     exhausted = True
     for target in range(3 * n - 1, 1, -1):
-        res = search_unmatchable(n, target, max_ground, budget=budget, seed=seed)
+        res = search_unmatchable(n, target, max_ground, budget=budget)
         if res.witness is not None:
             return KernelEstimate(target, res.witness, exhausted)
         exhausted = exhausted and res.exhausted

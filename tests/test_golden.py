@@ -196,3 +196,39 @@ def test_search_unmatchable_witness():
         ((0, 2), (1, 3), (4, 6), (5, 7)),
         ((0, 3), (1, 2), (4, 7), (5, 6)),
     ]
+
+
+SEARCH_GRID = [
+    # (n, kernel_target, max_ground, budget): a witness, two exhausted
+    # searches, a budget spent exactly by the last cell (not exhausted),
+    # two budgets spent mid-cell, and two with a single relation
+    (3, 8, 8, 2_000_000),
+    (2, 5, 7, 10**6),
+    (2, 6, 7, 2 * 10**6),
+    (2, 5, 7, 560),
+    (2, 6, 12, 10**4),
+    (3, 9, 10, 2 * 10**4),
+    (1, 2, 4, 10**8),
+    (1, 5, 7, 10**8),
+]
+
+
+def test_search_outcomes_digest():
+    rows = []
+    for n, target, max_ground, budget in SEARCH_GRID:
+        res = search_unmatchable(n, target, max_ground, budget=budget)
+        classes = None if res.witness is None else [
+            [list(cl) for cl in p.classes] for p in res.witness.relations
+        ]
+        rows.append([classes, res.ground_size, res.nodes, res.exhausted])
+    assert _sha(json.dumps(rows).encode()) == (
+        "d06d7d469d78fcf3a732261861db010f096a5bae8d3323ade9ab804ff8fee028"
+    )
+
+
+def test_search_stops_before_an_unaffordable_cell():
+    # grounds 7 to 10 cost 34,650 nodes; ground 11 is estimated at
+    # C(11, 7) * 105 = 34,650 more, past the budget, so the search stops
+    # there, and with no node spent on it
+    res = search_unmatchable(2, 7, 12, budget=60_000)
+    assert (res.witness, res.nodes, res.exhausted) == (None, 34_650, False)

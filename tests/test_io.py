@@ -242,6 +242,17 @@ def test_canonical_text_is_read_without_canonicalising(monkeypatch):
         assert p.__dict__["_span_cache"] == (min(kern), max(kern))
 
 
+def test_non_canonical_text_is_read_with_kernel_cached():
+    # unsorted classes miss the one-pass path; the line-by-line reader
+    # still hands over each relation with its kernel and span cached
+    parsed = parse_instance("grinblat 1 2 6\nrel 0 2\n3 1\n0 5\nrel 1 1\n4 2 0\n")
+    assert [p.classes for p in parsed.relations] == [((0, 5), (1, 3)), ((0, 2, 4),)]
+    for p in parsed.relations:
+        kern = p.__dict__["_kernel_cache"]
+        assert kern == frozenset(x for cl in p.classes for x in cl)
+        assert p.__dict__["_span_cache"] == (min(kern), max(kern))
+
+
 def test_25_digit_element_names_its_line():
     big = "1" * 25
     with pytest.raises(ParseError) as exc:
@@ -453,6 +464,15 @@ class TestExperiment:
         ("measure_time", "false", "'measure_time' must be a JSON boolean, got 'false'"),
         ("measure_time", 1, "'measure_time' must be a JSON boolean, got 1"),
         ("generators", "uniform", "'generators' must be a JSON list, got 'uniform'"),
+        ("ns", "30", "'ns' must be a JSON list of integers, got '30'"),
+        ("cs", "58", "'cs' must be a JSON list of integers, got '58'"),
+        ("ns", [30.7], "'ns' must be a JSON list of integers, got [30.7]"),
+        ("cs", [8, True], "'cs' must be a JSON list of integers, got [8, True]"),
+        ("trials", 1.9, "'trials' must be a JSON integer, got 1.9"),
+        ("trials", "1", "'trials' must be a JSON integer, got '1'"),
+        ("master_seed", True, "'master_seed' must be a JSON integer, got True"),
+        ("n_min", 30.0, "'n_min' must be a JSON integer, got 30.0"),
+        ("exact_budget", "10", "'exact_budget' must be a JSON integer, got '10'"),
     ])
     def test_config_rejects_wrong_json_type(self, field, value, message):
         from grinblat.errors import GrinblatError

@@ -62,6 +62,14 @@ def test_search_unmatchable_1500_relations():
     assert res.witness is not None and res.witness.n == 1500
 
 
+def test_search_unmatchable_large_kernel_target():
+    # the cell estimate counts the partitions of 200 elements into blocks
+    # of two or three; it must neither recurse nor take exponential time
+    with shallow_recursion_limit():
+        res = search_unmatchable(1, 200, 200, budget=10)
+    assert res.witness is None and not res.exhausted
+
+
 def test_extend_matching_deep_planted():
     inst, sub = gen_planted_concentrated(100, 32, 1)
     with shallow_recursion_limit():
