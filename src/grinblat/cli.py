@@ -120,7 +120,8 @@ def _cmd_verify(args) -> int:
     if report.valid:
         print("valid")
         return EXIT_OK
-    print(f"invalid at relation {report.index}: {report.violation}", file=sys.stderr)
+    where = "" if report.index is None else f" at relation {report.index}"
+    print(f"invalid{where}: {report.violation}", file=sys.stderr)
     return EXIT_ERROR
 
 

@@ -4,7 +4,11 @@ Elements are dense integer indices 0..ground_size-1.  A partition stores
 only its nontrivial classes (size >= 2); singletons are implicit.  Classes
 are kept internally sorted, and the class list itself is sorted, so equal
 partitions compare equal and serialize identically.  The generator's
-partitions start from CSR arrays instead (see ``CsrPartition``).
+partitions and those the parser reads in one pass hold CSR arrays instead
+and build their class tuples only when ``classes`` is read (see
+``CsrPartition``).  The parser's also keep a flat view, which
+``min_kernel``, ``verify_matching`` and the greedy pass of ``solve`` read
+in place of the tuples.
 """
 
 from __future__ import annotations
@@ -32,18 +36,6 @@ class Partition:
         # values; writing self.__dict__ here made exact_solve's runs 10%
         # slower in the benchmark's oracle workload
         object.__setattr__(self, "classes", _canon_classes(classes))
-
-    @classmethod
-    def _from_checked(
-        cls, classes: tuple[tuple[int, ...], ...], kern: frozenset[int], span: tuple[int, int]
-    ) -> "Partition":
-        """A partition of classes the caller has checked to be canonical,
-        disjoint and of size >= 2, with their union and its (min, max)
-        cached as the kernel and span; nothing is sorted again."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "classes", classes)
-        p.__dict__.update(_kernel_cache=kern, _span_cache=span)
-        return p
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Partition):
@@ -117,7 +109,8 @@ class CsrPartition(Partition):
     order, and ``starts``, the int64 start offset of each class.  Every
     element is non-negative and every class non-empty, so that
     ``write_instance`` can format the arrays digit by digit.  The
-    ``classes`` tuples are built from the arrays when first read.
+    ``classes`` tuples are built from the arrays when first read, and
+    two such partitions compare their arrays, not their tuples.
 
     Only this subclass has ``classes`` as a descriptor.  That makes each
     read of it slower (by half in CPython 3.11, where the read is no longer
@@ -127,9 +120,37 @@ class CsrPartition(Partition):
         object.__setattr__(self, "elems", elems)
         object.__setattr__(self, "starts", starts)
 
+    @classmethod
+    def _from_checked(
+        cls, elems: np.ndarray, starts: np.ndarray, marks: bytes, top: int
+    ) -> "CsrPartition":
+        """The partition of canonical classes the caller has checked to be
+        disjoint and of size >= 2, with top their largest element, and
+        marks holding 1 where elems starts a class, else 0.
+        Caches the kernel size, the span and the flat view that
+        ``direct_pair`` and ``_same_class`` read: the elements as one
+        tuple, with marks.  Builds no class tuple and no kernel set."""
+        p = cls(elems, starts)
+        flat = tuple(elems.tolist())
+        p.__dict__.update(_flat=(flat, marks), _kernel_size=len(flat), _span_cache=(flat[0], top))
+        return p
+
     @cached_property
     def classes(self) -> tuple[tuple[int, ...], ...]:
-        return _cut(tuple(self.elems.tolist()), self.starts.tolist())
+        view = self.__dict__.get("_flat")
+        flat = tuple(self.elems.tolist()) if view is None else view[0]
+        return _cut(flat, self.starts.tolist())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, CsrPartition):
+            return _same_array(self.elems, other.elems) and _same_array(self.starts, other.starts)
+        return super().__eq__(other)
+
+    __hash__ = Partition.__hash__
+
+
+def _same_array(a: np.ndarray, b: np.ndarray) -> bool:
+    return len(a) == len(b) and bool((a == b).all())
 
 
 def kernel(p: Partition) -> frozenset[int]:
@@ -139,6 +160,13 @@ def kernel(p: Partition) -> frozenset[int]:
         cached = frozenset(itertools.chain.from_iterable(p.classes))
         p.__dict__["_kernel_cache"] = cached
     return cached
+
+
+def kernel_size(p: Partition) -> int:
+    """len(kernel(p)), read without building the kernel where the parser
+    cached it."""
+    size = p.__dict__.get("_kernel_size")
+    return len(kernel(p)) if size is None else size
 
 
 def _cut(flat: tuple[int, ...], starts: list[int]) -> tuple[tuple[int, ...], ...]:
@@ -223,8 +251,20 @@ def verify_matching(inst: Instance, m: Matching) -> VerifyReport:
 
 
 def _same_class(p: Partition, a: int, b: int) -> bool:
-    """b shares a's class (a != b); scans the classes rather than build the
-    element index for one pair, unless the index is already there."""
+    """b shares a's class (a != b); scans the flat view of a parsed
+    partition or else the classes, rather than build the element index
+    for one pair, unless the index is already there."""
+    view = p.__dict__.get("_flat")
+    if view is not None:
+        flat, marks = view
+        if a > b:
+            a, b = b, a
+        try:
+            i = flat.index(a)
+            j = flat.index(b, i)  # a class ascends, so b can only follow a in it
+        except ValueError:
+            return False
+        return 1 not in marks[i + 1 : j + 1]  # no class starts after a, up to b
     idx = p.__dict__.get("_class_index_cache")
     if idx is not None:
         return b in idx.get(a, ())
@@ -274,4 +314,4 @@ def normalize(inst: Instance) -> Instance:
 def min_kernel(inst: Instance) -> int:
     if inst.n == 0:
         raise ValueError("min_kernel undefined for an instance with no relations")
-    return min(len(kernel(p)) for p in inst.relations)
+    return min(map(kernel_size, inst.relations))

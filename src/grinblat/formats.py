@@ -5,15 +5,16 @@ each relation a line ``rel <i> <k>`` followed by k class lines of
 space-separated element indices.  UTF-8, LF, '#' starts a comment.
 ``write_instance`` emits the canonical form: each class sorted, classes in
 order of their smallest element, one space between indices.  It formats
-the digits of a relation that holds CSR arrays (the generator's, see
-``core.CsrPartition``) in one vectorised pass, and joins any other relation's
-lines class by class.
+the digits of a relation that holds CSR arrays (see ``core.CsrPartition``)
+in one vectorised pass, and joins any other relation's lines class by class.
 ``parse_instance`` accepts the classes and their elements in any order,
 with any whitespace, and canonicalises them.  A relation whose class lines
 are canonical and hold only ASCII digits and spaces (as ``write_instance``
-emits them) is checked and converted in one numpy pass.  Any other
-relation is read with ``int`` per line, and a faulty one line by line, so
-that the ``ParseError`` names its first bad line.
+emits them) is checked in one numpy pass and read as a ``CsrPartition``
+that holds the checked arrays, its kernel size, its span and a flat view
+of its elements, but no class tuple and no kernel set.  Any other relation
+is read line by line into a tuple-born ``Partition``, so that the
+``ParseError`` of a faulty one names its first bad line.
 Matching files hold one line ``i a b`` per relation, sorted by i.
 """
 
@@ -24,7 +25,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import CsrPartition, Instance, Matching, Partition, _cut
+from .core import CsrPartition, Instance, Matching, Partition
 from .errors import ParseError
 
 _HEADER = "grinblat 1"
@@ -93,7 +94,7 @@ def _read_relation(
 ) -> Partition:
     """Relation i from its k class lines at lines[idx:]: a canonical block
     in one numpy pass, and any other line by line, which names the first
-    bad line.  Either way the relation's kernel is cached."""
+    bad line.  Either way the relation is validated and its span cached."""
     block = lines[idx : idx + k]
     if len(block) == k:
         rel = _read_canonical("\n".join(block), ground)
@@ -104,7 +105,7 @@ def _read_relation(
     return rel
 
 
-def _read_canonical(text: str, ground: int) -> Optional[Partition]:
+def _read_canonical(text: str, ground: int) -> Optional[CsrPartition]:
     """The relation whose class lines, joined by newlines, are text, if
     there is at least one and each holds only ASCII digits and spaces and
     is a canonical class: at least two elements, ascending, each below
@@ -131,12 +132,12 @@ def _read_canonical(text: str, ground: int) -> Optional[Partition]:
     rising[firsts[1:] - 1] = True  # a class may start below where the last one ended
     if not rising.all() or (np.diff(vals[firsts]) <= 0).any():
         return None
-    flat = tuple(vals.tolist())
-    kern = frozenset(flat)
-    span = (flat[0], int(vals.max()))
-    if len(kern) != len(flat) or span[1] >= ground:
+    order = np.sort(vals)  # neighbours here are equal where an element repeats
+    if (order[1:] == order[:-1]).any() or order[-1] >= ground:
         return None
-    return Partition._from_checked(_cut(flat, firsts.tolist()), kern, span)
+    marks = np.zeros(len(vals), np.uint8)
+    marks[firsts] = 1
+    return CsrPartition._from_checked(vals, firsts, marks.tobytes(), int(order[-1]))
 
 
 def _check_classes(

@@ -154,6 +154,11 @@ def search_unmatchable(
     exchangeable).  The pass stops before a ground size whose estimated
     node count would overrun the budget, or once the budget is spent; then
     the result is not exhausted.
+
+    The estimate counts the candidates for one relation, not the nodes of
+    a ground size, which grow like that count to the power n - 1.  For
+    n >= 2 it therefore does not bound a ground size's nodes, and the
+    budget can stop the pass mid-way through one.
     """
     if n < 1 or kernel_target < 2:
         return SearchResult(None, 0, 0, True)

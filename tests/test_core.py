@@ -11,11 +11,15 @@ from grinblat.core import (
     KernelInfo,
     Matching,
     Partition,
+    _same_class,
     kernel,
+    kernel_size,
     min_kernel,
     normalize,
     verify_matching,
 )
+from grinblat.construct import solve
+from grinblat.construct.charging import direct_pair
 from grinblat.formats import parse_instance, write_instance
 from grinblat.gen import gen_random_hypothesis
 
@@ -281,8 +285,82 @@ def test_generated_partitions_build_tuples_only_when_read():
     inst = gen_random_hypothesis(6, 20, seed=5)
     data = write_instance(inst)
     assert all("classes" not in p.__dict__ for p in inst.relations)
-    assert parse_instance(data) == inst
-    assert all("classes" in p.__dict__ for p in inst.relations)
+    parsed = parse_instance(data)
+    assert parsed == inst
+    # both sides hold arrays, and == compared those
+    assert all("classes" not in p.__dict__ for p in inst.relations + parsed.relations)
+    assert inst.relations[0].classes == parsed.relations[0].classes
+    assert "classes" in inst.relations[0].__dict__
+
+
+@st.composite
+def _valid_classes(draw):
+    # disjoint classes of size 2 to 4 over a ground set with room for
+    # singletons, and that ground size
+    ground = draw(st.integers(2, 24))
+    elems = draw(st.permutations(range(ground)))
+    sizes = draw(st.lists(st.integers(2, 4), min_size=1, max_size=ground // 2))
+    classes, at = [], 0
+    for k in sizes:
+        if at + k > len(elems):
+            break
+        classes.append(elems[at : at + k])
+        at += k
+    return classes or [elems[:2]], ground
+
+
+@settings(max_examples=300, deadline=None)
+@given(_valid_classes(), st.lists(st.integers(-1, 25), max_size=12))
+def test_parsed_and_tuple_born_partitions_agree(drawn, used):
+    classes, ground = drawn
+    a = Partition(classes)
+    inst = parse_instance(write_instance(Instance(ground, [a])))
+    b = inst.relations[0]
+    assert isinstance(b, CsrPartition) and "_flat" in b.__dict__
+    assert write_instance(inst) == write_instance(Instance(ground, [a]))
+    # the flat view's readers, before any tuple is built
+    same = {(x, y) for cl in classes for x in cl for y in cl if x != y}
+    for p in (a, b):
+        for x in range(-1, ground + 2):
+            for y in range(-1, ground + 2):
+                if x != y:
+                    assert _same_class(p, x, y) == ((x, y) in same), (x, y)
+    for k in range(len(used) + 1):
+        assert direct_pair(b, set(used[:k])) == direct_pair(a, set(used[:k]))
+    assert kernel_size(b) == kernel_size(a) == len(kernel(a))
+    assert "classes" not in b.__dict__ and "_kernel_cache" not in b.__dict__
+    for g in (ground, ground - 1, max(kernel(a)), 0):
+        assert _outcome(b.validate, g) == _outcome(a.validate, g)
+    assert (a == b, b == a, a != b, b != a) == (True, True, False, False)
+    assert hash(b) == hash(a)
+    assert b.classes == a.classes and kernel(b) == kernel(a)
+    other = Partition(classes[1:] or [(ground, ground + 1)])
+    assert (b == other, other == b) == (False, False)
+
+
+def test_array_born_partitions_compare_classes_not_elements():
+    def parsed(lines):
+        text = "\n".join(lines)
+        return parse_instance(f"grinblat 1 1 4\nrel 0 {len(lines)}\n{text}\n").relations[0]
+
+    # the same elements in the same order, cut into different classes
+    split, whole = parsed(["0 1", "2 3"]), parsed(["0 1 2 3"])
+    assert (split == whole, whole == split, split != whole) == (False, False, True)
+    assert split == parsed(["0 1", "2 3"]) == _from_arrays([(2, 3), (1, 0)])
+    assert whole == _from_arrays([(0, 1, 2, 3)]) != _from_arrays([(0, 1, 2)])
+    # arrays of the same lengths with different elements
+    assert split != parsed(["0 2", "1 3"]) and split != _from_arrays([(0, 1), (2, 4)])
+
+
+def test_parsed_pipeline_builds_no_class_tuple_or_kernel():
+    generated = gen_random_hypothesis(30, 8, seed=2)
+    inst = parse_instance(write_instance(generated))
+    assert inst == generated
+    inst.validate()
+    res = solve(inst, c=8)
+    assert verify_matching(inst, res.matching).valid
+    for p in inst.relations + generated.relations:
+        assert "classes" not in p.__dict__ and "_kernel_cache" not in p.__dict__
 
 
 @pytest.mark.parametrize("classes", [

@@ -20,7 +20,7 @@ import pytest
 from grinblat.construct import Telemetry, extend_matching, solve
 from grinblat.core import Instance, Partition, verify_matching
 from grinblat.experiment import ExperimentConfig, run_experiment
-from grinblat.formats import write_instance, write_matching
+from grinblat.formats import parse_instance, write_instance, write_matching
 from grinblat.gen import (
     gen_lower_bound_family,
     gen_planted_concentrated,
@@ -136,6 +136,29 @@ def test_uniform_solve_digest(n, c, seed, digest, events_digest):
     assert tel.phases() == ["direct_pair"] * (n - 1) + ["solved"]
     assert _sha(write_matching(res.matching)) == digest
     assert _sha(json.dumps(tel.events).encode()) == events_digest
+
+
+@pytest.mark.parametrize("n, c, seed, digest, events_digest", SOLVE_GOLDEN)
+def test_uniform_solve_digest_after_parse(n, c, seed, digest, events_digest):
+    # the same solve on the written and parsed instance, whose relations
+    # hold the parser's flat view rather than the generator's arrays
+    tel = Telemetry()
+    inst = parse_instance(write_instance(gen_random_hypothesis(n, c, seed)))
+    res = solve(inst, c=c, telemetry=tel)
+    assert _sha(write_matching(res.matching)) == digest
+    assert _sha(json.dumps(tel.events).encode()) == events_digest
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_random_hypothesis(30, 5000, 1),
+    lambda: gen_random_hypothesis(30, 8, 7, 5),
+    lambda: gen_planted_concentrated(100, 32, 1)[0],
+    lambda: gen_planted_concentrated(30, 5000, 1)[0],
+    lambda: gen_lower_bound_family(6),
+], ids=["uniform", "uniform-slack", "planted", "planted-filler", "lower-bound"])
+def test_written_instance_reads_back_to_the_same_bytes(make):
+    data = write_instance(make())
+    assert write_instance(parse_instance(data)) == data
 
 
 def test_sweep_report_digest():

@@ -337,6 +337,13 @@ class TestCli:
         m_path = self._write(tmp_path, "m.txt", b"0 2 3\n")
         assert cli.main(["verify", inst_path, m_path]) == 2
 
+    def test_verify_names_no_relation_for_a_wrong_pair_count(self, tmp_path, capsys):
+        inst = Instance(4, [Partition([(0, 1)])])
+        inst_path = self._write(tmp_path, "i.txt", write_instance(inst))
+        m_path = self._write(tmp_path, "m.txt", b"0 0 1\n1 2 3\n")
+        assert cli.main(["verify", inst_path, m_path]) == 2
+        assert capsys.readouterr().err == "invalid: pair count differs from relation count\n"
+
     def test_exact_proven_none_exit_1(self, tmp_path, capsys):
         path = self._write(
             tmp_path, "lb.txt", write_instance(gen_lower_bound_family(4))
