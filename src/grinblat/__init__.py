@@ -16,7 +16,6 @@ from .errors import (
     CompletionImpossible,
     GrinblatError,
     HypothesisViolation,
-    InfeasibleFixture,
     InternalLogicError,
     ParseError,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "CompletionImpossible",
     "GrinblatError",
     "HypothesisViolation",
-    "InfeasibleFixture",
     "Instance",
     "InternalLogicError",
     "KernelEstimate",

@@ -19,27 +19,17 @@ from .state import ChargeLedger, Component, Telemetry, TrackState
 def direct_pair(rel: Partition, used: AbstractSet[int]) -> Optional[tuple[int, int]]:
     """The two lowest elements outside ``used`` of the first class, in class
     order, that has two such elements; None if no class has.  Walks the
-    flat view of a parsed partition, where a mark starts each class."""
-    view = rel.__dict__.get("_flat")
-    if view is not None:
-        flat, marks = view
-        first, i = None, 0
-        for x in flat:  # a counter, not enumerate or zip, which cost more per call
-            if x not in used:
-                if first is not None and not marks[i]:
-                    return (first, x)
-                first = x
-            elif marks[i]:
-                first = None
-            i += 1
-        return None
-    for cl in rel.classes:
-        first = None
-        for x in cl:
-            if x not in used:
-                if first is not None:
-                    return (first, x)
-                first = x
+    flat view, where a mark starts each class."""
+    marks = rel._marks
+    first, i = None, 0
+    for x in rel._flat:  # a counter, not enumerate or zip, which cost more per call
+        if x not in used:
+            if first is not None and not marks[i]:
+                return (first, x)
+            first = x
+        elif marks[i]:
+            first = None
+        i += 1
     return None
 
 

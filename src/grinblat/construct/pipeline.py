@@ -41,6 +41,11 @@ DEFAULT_N_MIN = 30
 
 
 def hypothesis_bound(n: int, c: int) -> int:
+    """ceil(16n/5) + c.  The deep phases of extend_matching currently need
+    c to be a multiple of 16 and at least 32, which this bound does not
+    ask: on gen_planted_concentrated(200, 64, 1), which meets it for every
+    c <= 64, the step succeeds at c = 48 and 64 and raises
+    InternalLogicError from final_win at c = 34 and 40."""
     return math.ceil(16 * n / 5) + c
 
 

@@ -3,19 +3,16 @@
 Elements are dense integer indices 0..ground_size-1.  A partition stores
 only its nontrivial classes (size >= 2); singletons are implicit.  Classes
 are kept internally sorted, and the class list itself is sorted, so equal
-partitions compare equal and serialize identically.  The generator's
-partitions and those the parser reads in one pass hold CSR arrays instead
-and build their class tuples only when ``classes`` is read (see
-``CsrPartition``).  The parser's also keep a flat view, which
-``min_kernel``, ``verify_matching`` and the greedy pass of ``solve`` read
-in place of the tuples.
+partitions compare equal and serialize identically.  A ``Partition`` is
+built from its classes or, by ``Partition._from_arrays``, from checked
+CSR arrays; every other view is derived on first read and kept.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import FrozenInstanceError, dataclass
-from functools import cached_property
+from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 if TYPE_CHECKING:
@@ -26,10 +23,34 @@ def _canon_classes(classes: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], .
     return tuple(sorted(map(tuple, map(sorted, classes))))
 
 
+@lru_cache(maxsize=64)
+def _class_marks(size: int) -> bytes:
+    """The marks of a class of size elements: 1 for its first, then 0s."""
+    return b"\x01".ljust(size, b"\x00")[:size]
+
+
+class _view:
+    """functools.cached_property without the lock CPython 3.11 takes on
+    each first read, which the deep step makes for every relation."""
+
+    def __init__(self, derive):
+        self.derive, self.name = derive, derive.__name__
+
+    def __get__(self, p, owner=None):
+        if p is None:
+            return self
+        view = p.__dict__[self.name] = self.derive(p)
+        return view
+
+
 class Partition:
     """One equivalence relation, given by its nontrivial classes: the
     tuple ``classes`` of sorted tuples, in order of their first element.
-    A partition is immutable."""
+    A partition is immutable.  ``arrays`` holds the CSR arrays (compressed
+    sparse rows) it was built from, if any: the int64 elements in class
+    order and the int64 offset where each class starts."""
+
+    arrays: Optional[tuple[np.ndarray, np.ndarray]] = None
 
     def __init__(self, classes: Iterable[Iterable[int]]):
         # object.__setattr__ keeps the attribute in the instance's inline
@@ -37,9 +58,80 @@ class Partition:
         # slower in the benchmark's oracle workload
         object.__setattr__(self, "classes", _canon_classes(classes))
 
+    @classmethod
+    def _from_arrays(cls, elems: np.ndarray, starts: np.ndarray) -> "Partition":
+        """The partition whose classes are elems cut at the offsets in
+        starts, which the caller has checked to be canonical: every class
+        ascending and of size >= 2, the classes in ascending order of their
+        first element, no element negative or listed twice.  Builds no
+        class tuple, and knows its kernel size from the array length."""
+        p = cls.__new__(cls)
+        object.__setattr__(p, "arrays", (elems, starts))
+        object.__setattr__(p, "_kernel_size", len(elems))  # each element is listed once
+        return p
+
+    @_view
+    def classes(self) -> tuple[tuple[int, ...], ...]:
+        # read only on an array-born partition: __init__ sets the attribute
+        flat, starts = self._flat, self.arrays[1].tolist()
+        starts.append(len(flat))
+        return tuple([flat[i:j] for i, j in itertools.pairwise(starts)])
+
+    @_view
+    def _flat(self) -> tuple[int, ...]:
+        """The elements in class order, as one tuple."""
+        if self.arrays is None:
+            return tuple(itertools.chain.from_iterable(self.classes))
+        return tuple(self.arrays[0].tolist())
+
+    @_view
+    def _marks(self) -> bytes:
+        """One byte per element of the flat view: 1 where a class starts."""
+        if self.arrays is not None:
+            import numpy as np  # not at module level, which slowed the oracle benchmark 7-10%
+
+            elems, starts = self.arrays
+            marks = np.zeros(len(elems), np.uint8)
+            marks[starts] = 1
+            return marks.tobytes()
+        classes = self.classes
+        sizes = set(map(len, classes))
+        if len(sizes) == 1:  # all classes of one size, such as all pairs
+            return _class_marks(sizes.pop()) * len(classes)
+        return b"".join(map(_class_marks, map(len, classes)))
+
+    @_view
+    def _kernel(self) -> frozenset[int]:
+        return frozenset(self._flat)
+
+    @_view
+    def _kernel_size(self) -> int:
+        # set when an array-born partition is built
+        return len(self._kernel)
+
+    @_view
+    def _span(self) -> Optional[tuple[int, int]]:
+        """(min, max) element if the classes are disjoint and of size >= 2,
+        else None."""
+        if self.arrays is not None:  # checked when built
+            elems = self.arrays[0]
+            return (int(elems[0]), int(elems.max())) if len(elems) else (0, -1)
+        classes, kern = self.classes, self._kernel
+        # as many listed elements as distinct ones: none is listed twice
+        if min(map(len, classes), default=2) >= 2 and len(self._flat) == len(kern):
+            return (min(kern, default=0), max(kern, default=-1))
+        return None
+
+    @_view
+    def _index(self) -> dict[int, tuple[int, ...]]:
+        """Each listed element's class."""
+        return {x: cl for cl in self.classes for x in cl}
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Partition):
             return NotImplemented
+        if self.arrays is not None and other.arrays is not None:
+            return all(len(a) == len(b) and (a == b).all() for a, b in zip(self.arrays, other.arrays))
         return self.classes == other.classes
 
     def __hash__(self) -> int:
@@ -53,19 +145,6 @@ class Partition:
 
     def __delattr__(self, name: str) -> None:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    @property
-    def _span(self) -> Optional[tuple[int, int]]:
-        """(min, max) element if the classes are disjoint and of size >= 2,
-        else None; cached on first use, like the kernel it is read from."""
-        if "_span_cache" not in self.__dict__:
-            classes, kern = self.classes, kernel(self)
-            span = None
-            # as many listed elements as distinct ones: none is listed twice
-            if min(map(len, classes), default=2) >= 2 and sum(map(len, classes)) == len(kern):
-                span = (min(kern, default=0), max(kern, default=-1))
-            self.__dict__["_span_cache"] = span
-        return self.__dict__["_span_cache"]
 
     def validate(self, ground_size: int) -> None:
         """Raise ValueError naming the first bad class or element; O(1)
@@ -86,94 +165,23 @@ class Partition:
                     raise ValueError(f"element {x} appears in two classes")
                 seen.add(x)
 
-    @property
-    def _class_index(self) -> dict[int, tuple[int, ...]]:
-        # cached on first use; safe, as the classes never change
-        idx = self.__dict__.get("_class_index_cache")
-        if idx is None:
-            idx = {x: cl for cl in self.classes for x in cl}
-            self.__dict__["_class_index_cache"] = idx
-        return idx
-
     def class_of(self, x: int) -> tuple[int, ...]:
         """The class containing x; implicit singleton if x is not listed."""
-        return self._class_index.get(x, (x,))
+        return self._index.get(x, (x,))
 
     def equivalent(self, x: int, y: int) -> bool:
         return x == y or y in self.class_of(x)
 
 
-class CsrPartition(Partition):
-    """A partition born from its canonical classes as CSR arrays
-    (compressed sparse rows): ``elems``, the int64 elements in class
-    order, and ``starts``, the int64 start offset of each class.  Every
-    element is non-negative and every class non-empty, so that
-    ``write_instance`` can format the arrays digit by digit.  The
-    ``classes`` tuples are built from the arrays when first read, and
-    two such partitions compare their arrays, not their tuples.
-
-    Only this subclass has ``classes`` as a descriptor.  That makes each
-    read of it slower (by half in CPython 3.11, where the read is no longer
-    specialised); partitions of any other origin read a plain attribute."""
-
-    def __init__(self, elems: np.ndarray, starts: np.ndarray):
-        object.__setattr__(self, "elems", elems)
-        object.__setattr__(self, "starts", starts)
-
-    @classmethod
-    def _from_checked(
-        cls, elems: np.ndarray, starts: np.ndarray, marks: bytes, top: int
-    ) -> "CsrPartition":
-        """The partition of canonical classes the caller has checked to be
-        disjoint and of size >= 2, with top their largest element, and
-        marks holding 1 where elems starts a class, else 0.
-        Caches the kernel size, the span and the flat view that
-        ``direct_pair`` and ``_same_class`` read: the elements as one
-        tuple, with marks.  Builds no class tuple and no kernel set."""
-        p = cls(elems, starts)
-        flat = tuple(elems.tolist())
-        p.__dict__.update(_flat=(flat, marks), _kernel_size=len(flat), _span_cache=(flat[0], top))
-        return p
-
-    @cached_property
-    def classes(self) -> tuple[tuple[int, ...], ...]:
-        view = self.__dict__.get("_flat")
-        flat = tuple(self.elems.tolist()) if view is None else view[0]
-        return _cut(flat, self.starts.tolist())
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, CsrPartition):
-            return _same_array(self.elems, other.elems) and _same_array(self.starts, other.starts)
-        return super().__eq__(other)
-
-    __hash__ = Partition.__hash__
-
-
-def _same_array(a: np.ndarray, b: np.ndarray) -> bool:
-    return len(a) == len(b) and bool((a == b).all())
-
-
 def kernel(p: Partition) -> frozenset[int]:
     """Elements equivalent to at least one element other than themselves."""
-    cached = p.__dict__.get("_kernel_cache")
-    if cached is None:
-        cached = frozenset(itertools.chain.from_iterable(p.classes))
-        p.__dict__["_kernel_cache"] = cached
-    return cached
+    return p._kernel
 
 
 def kernel_size(p: Partition) -> int:
-    """len(kernel(p)), read without building the kernel where the parser
-    cached it."""
-    size = p.__dict__.get("_kernel_size")
-    return len(kernel(p)) if size is None else size
-
-
-def _cut(flat: tuple[int, ...], starts: list[int]) -> tuple[tuple[int, ...], ...]:
-    """flat cut into the classes that begin at the offsets in starts."""
-    ends = starts[1:]
-    ends.append(len(flat))
-    return tuple([flat[i:j] for i, j in zip(starts, ends)])
+    """len(kernel(p)), which an array-born partition knows without
+    building the kernel."""
+    return p._kernel_size
 
 
 @dataclass(frozen=True)
@@ -251,27 +259,16 @@ def verify_matching(inst: Instance, m: Matching) -> VerifyReport:
 
 
 def _same_class(p: Partition, a: int, b: int) -> bool:
-    """b shares a's class (a != b); scans the flat view of a parsed
-    partition or else the classes, rather than build the element index
-    for one pair, unless the index is already there."""
-    view = p.__dict__.get("_flat")
-    if view is not None:
-        flat, marks = view
-        if a > b:
-            a, b = b, a
-        try:
-            i = flat.index(a)
-            j = flat.index(b, i)  # a class ascends, so b can only follow a in it
-        except ValueError:
-            return False
-        return 1 not in marks[i + 1 : j + 1]  # no class starts after a, up to b
-    idx = p.__dict__.get("_class_index_cache")
-    if idx is not None:
-        return b in idx.get(a, ())
-    for cl in p.classes:
-        if a in cl:
-            return b in cl
-    return False
+    """b shares a's class (a != b), found in the flat view."""
+    flat = p._flat
+    if a > b:
+        a, b = b, a
+    try:
+        i = flat.index(a)
+        j = flat.index(b, i)  # a class ascends, so b can only follow a in it
+    except ValueError:
+        return False
+    return 1 not in p._marks[i + 1 : j + 1]  # no class starts after a, up to b
 
 
 def _split_class(cl: tuple[int, ...]) -> list[tuple[int, ...]]:

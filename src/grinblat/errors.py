@@ -26,10 +26,6 @@ class CompletionImpossible(GrinblatError):
     """The completion engine could not fill in the remaining relations."""
 
 
-class InfeasibleFixture(GrinblatError):
-    """A requested fixture pattern contradicts a ledger invariant."""
-
-
 class ParseError(GrinblatError):
     """Malformed instance or matching file."""
 

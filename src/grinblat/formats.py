@@ -5,15 +5,15 @@ each relation a line ``rel <i> <k>`` followed by k class lines of
 space-separated element indices.  UTF-8, LF, '#' starts a comment.
 ``write_instance`` emits the canonical form: each class sorted, classes in
 order of their smallest element, one space between indices.  It formats
-the digits of a relation that holds CSR arrays (see ``core.CsrPartition``)
+the digits of a relation that holds CSR arrays (see ``core.Partition``)
 in one vectorised pass, and joins any other relation's lines class by class.
 ``parse_instance`` accepts the classes and their elements in any order,
 with any whitespace, and canonicalises them.  A relation whose class lines
 are canonical and hold only ASCII digits and spaces (as ``write_instance``
-emits them) is checked in one numpy pass and read as a ``CsrPartition``
-that holds the checked arrays, its kernel size, its span and a flat view
-of its elements, but no class tuple and no kernel set.  Any other relation
-is read line by line into a tuple-born ``Partition``, so that the
+emits them) is checked in one numpy pass and read as a ``Partition`` that
+holds the checked arrays and the flat view of its elements, but no class
+tuple and no kernel set.  Any other relation is read line by line into a
+``Partition`` of its classes, so that the
 ``ParseError`` of a faulty one names its first bad line.
 Matching files hold one line ``i a b`` per relation, sorted by i.
 """
@@ -25,7 +25,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import CsrPartition, Instance, Matching, Partition
+from .core import Instance, Matching, Partition
 from .errors import ParseError
 
 _HEADER = "grinblat 1"
@@ -94,7 +94,8 @@ def _read_relation(
 ) -> Partition:
     """Relation i from its k class lines at lines[idx:]: a canonical block
     in one numpy pass, and any other line by line, which names the first
-    bad line.  Either way the relation is validated and its span cached."""
+    bad line.  Either way the relation is checked against ground; the
+    line-by-line reader also caches its span."""
     block = lines[idx : idx + k]
     if len(block) == k:
         rel = _read_canonical("\n".join(block), ground)
@@ -105,7 +106,7 @@ def _read_relation(
     return rel
 
 
-def _read_canonical(text: str, ground: int) -> Optional[CsrPartition]:
+def _read_canonical(text: str, ground: int) -> Optional[Partition]:
     """The relation whose class lines, joined by newlines, are text, if
     there is at least one and each holds only ASCII digits and spaces and
     is a canonical class: at least two elements, ascending, each below
@@ -135,9 +136,9 @@ def _read_canonical(text: str, ground: int) -> Optional[CsrPartition]:
     order = np.sort(vals)  # neighbours here are equal where an element repeats
     if (order[1:] == order[:-1]).any() or order[-1] >= ground:
         return None
-    marks = np.zeros(len(vals), np.uint8)
-    marks[firsts] = 1
-    return CsrPartition._from_checked(vals, firsts, marks.tobytes(), int(order[-1]))
+    rel = Partition._from_arrays(vals, firsts)
+    rel._flat, rel._marks  # the flat view, derived here rather than in the solve that reads it
+    return rel
 
 
 def _check_classes(
@@ -178,8 +179,9 @@ def _class_lines(rel: Partition) -> tuple[int, bytes]:
     """The number of rel's classes and their lines, each ended by a
     newline: formatted from the CSR arrays if rel holds them, else with
     one join per class."""
-    if isinstance(rel, CsrPartition):
-        return len(rel.starts), _digit_lines(rel.elems, rel.starts)
+    if rel.arrays is not None:
+        elems, starts = rel.arrays
+        return len(starts), _digit_lines(elems, starts)
     classes = rel.classes
     return len(classes), "".join(" ".join(map(str, cl)) + "\n" for cl in classes).encode()
 

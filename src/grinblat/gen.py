@@ -2,8 +2,7 @@
 
 Three families: the classical lower-bound family, uniform hypothesis-regime
 instances, and planted adversarial instances that steer the constructive
-engine through its deep phases.  gen_fixture_ledger additionally builds
-tiny hand-specified track states for unit-testing the lemma engines.
+engine through its deep phases.
 
 A hard feasibility fact shapes gen_planted_concentrated: if relation 1 has
 no class with two elements outside B, then |K_1| <= 4(n-1).  The kernel
@@ -16,15 +15,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 
 import numpy as np
-from typing import Optional, Sequence, Union
 
-from .construct.charging import charge_scheme_2
-from .construct.state import ChargeLedger, Component, TrackState
-from .core import CsrPartition, Instance, Partition
-from .errors import InfeasibleFixture
+from .core import Instance, Partition
 
 
 def gen_lower_bound_family(n: int) -> Instance:
@@ -79,7 +73,7 @@ def _canon_relations(cuts: list[np.ndarray], sizes: list[np.ndarray], ground: in
     flat, starts = key - group * ground, np.flatnonzero(np.diff(group, prepend=-1))
     rels, at, first = [], 0, 0
     for m, cut in zip(counts, cuts):
-        rels.append(CsrPartition(flat[first : first + len(cut)], starts[at : at + m] - first))
+        rels.append(Partition._from_arrays(flat[first : first + len(cut)], starts[at : at + m] - first))
         at, first = at + m, first + len(cut)
     return rels
 
@@ -203,124 +197,3 @@ def gen_planted_concentrated(
     inst = Instance(ground, rels)
     sub = {p - 1: (rl(a[p]), rl(b[p])) for p in range(2, n + 1)}
     return inst, sub
-
-
-ElementRef = Union[tuple[str, int], tuple[str, str]]
-
-
-@dataclass(frozen=True)
-class FixtureSpec:
-    """Recipe for a synthetic track state: per-position extra classes given
-    as symbolic references ("a", pos), ("b", pos), ("c", pos), ("d", pos),
-    or named fresh elements ("x", name)."""
-
-    n: int
-    extra: dict[int, Sequence[Sequence[ElementRef]]] = field(default_factory=dict)
-    sigma_target: dict[int, int] = field(default_factory=dict)
-    tau_target: dict[int, int] = field(default_factory=dict)
-
-
-def gen_fixture_ledger(spec: FixtureSpec) -> tuple[TrackState, ChargeLedger]:
-    """Materialize a track state realizing the fixture and charge it.
-
-    The base carries identity pairs for positions 2..n and a full track
-    (cross pairs for 2..t); the fixture's extra classes are merged in, the
-    1-/t-charging pass runs for real, and declared charge targets are
-    checked against the result.
-    """
-    n = spec.n
-    t = n // 5
-    if t < 2:
-        raise InfeasibleFixture(f"n={n} gives track parameter t={t} < 2")
-    for pos, target in list(spec.sigma_target.items()) + list(spec.tau_target.items()):
-        if target > 4:
-            raise InfeasibleFixture(f"declared charge count {target} at {pos} exceeds 4")
-    counter = 0
-
-    def fresh() -> int:
-        nonlocal counter
-        counter += 1
-        return counter - 1
-
-    a = {p: fresh() for p in range(2, n + 1)}
-    b = {p: fresh() for p in range(2, n + 1)}
-    cc = {p: fresh() for p in range(2, t + 1)}
-    d = {p: fresh() for p in range(2, t + 1)}
-    named: dict[str, int] = {}
-
-    def resolve(ref: ElementRef) -> int:
-        kind, key = ref
-        if kind == "a":
-            return a[key]
-        if kind == "b":
-            return b[key]
-        if kind == "c":
-            return cc[key]
-        if kind == "d":
-            return d[key]
-        if kind == "x":
-            if key not in named:
-                named[key] = fresh()
-            return named[key]
-        raise InfeasibleFixture(f"unknown element reference {ref}")
-
-    rel_classes: dict[int, list[tuple[int, ...]]] = {m: [] for m in range(1, n + 1)}
-    rel_classes[1].extend([(a[2], cc[2]), (b[2], d[2])])
-    for m in range(2, t):
-        rel_classes[m].extend([(a[m], b[m]), (a[m + 1], cc[m + 1]), (b[m + 1], d[m + 1])])
-    for m in range(t, n + 1):
-        rel_classes[m].append((a[m], b[m]))
-    for pos, classes in spec.extra.items():
-        for cls in classes:
-            rel_classes[pos].append(tuple(resolve(ref) for ref in cls))
-
-    # merge classes sharing elements (extras may extend base classes)
-    rels = []
-    for m in range(1, n + 1):
-        rels.append(Partition(_merge_classes(rel_classes[m])))
-    inst = Instance(counter, rels)
-    inst.validate()
-
-    comps = {}
-    for p in range(2, n + 1):
-        if p <= t:
-            comps[p] = Component(pos=p, a=a[p], b=b[p], c=cc[p], d=d[p])
-        else:
-            comps[p] = Component(pos=p, a=a[p], b=b[p])
-    state = TrackState(inst, list(range(-1, n)), comps, extent=t)
-
-    kind, payload = charge_scheme_2(state)
-    if kind == "win":
-        raise InfeasibleFixture("fixture admits an immediate t-charging win")
-    ledger = payload
-    for pos, target in spec.sigma_target.items():
-        if ledger.sigma[pos] != target:
-            raise InfeasibleFixture(
-                f"position {pos}: sigma {ledger.sigma[pos]} != declared {target}"
-            )
-    for pos, target in spec.tau_target.items():
-        if ledger.tau[pos] != target:
-            raise InfeasibleFixture(
-                f"position {pos}: tau {ledger.tau[pos]} != declared {target}"
-            )
-    return state, ledger
-
-
-def _merge_classes(classes: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while parent.setdefault(x, x) != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for cl in classes:
-        for e in cl[1:]:
-            parent[find(e)] = find(cl[0])
-    groups: dict[int, set[int]] = {}
-    for cl in classes:
-        for e in cl:
-            groups.setdefault(find(e), set()).add(e)
-    return [tuple(sorted(g)) for g in groups.values()]
-

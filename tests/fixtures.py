@@ -1,6 +1,8 @@
 """Hand-built track states exercising the deep lemma engines.
 
-Each builder returns (state, ledger) plus whatever bookkeeping the test
+``gen_fixture_ledger`` materialises a ``FixtureSpec``: a full track plus
+hand-given extra classes, charged by the real 1-/t-charging pass.  Each
+state function below returns (state, ledger) plus whatever bookkeeping the test
 needs.  All use n=30 (t=6): left positions 2..6, right positions 7..30.
 
 Conventions: a component j becomes heavy by giving relation 1 the classes
@@ -13,9 +15,142 @@ never pumped.
 
 from __future__ import annotations
 
-from grinblat.gen import FixtureSpec, gen_fixture_ledger
+from dataclasses import dataclass, field
+from typing import Sequence, Union
+
+from grinblat.construct.charging import charge_scheme_2
+from grinblat.construct.state import ChargeLedger, Component, TrackState
+from grinblat.core import Instance, Partition
 
 N = 30  # t = 6
+
+
+class InfeasibleFixture(Exception):
+    """A requested fixture pattern contradicts a ledger invariant."""
+
+
+ElementRef = Union[tuple[str, int], tuple[str, str]]
+
+
+@dataclass(frozen=True)
+class FixtureSpec:
+    """Recipe for a synthetic track state: per-position extra classes given
+    as symbolic references ("a", pos), ("b", pos), ("c", pos), ("d", pos),
+    or named fresh elements ("x", name)."""
+
+    n: int
+    extra: dict[int, Sequence[Sequence[ElementRef]]] = field(default_factory=dict)
+    sigma_target: dict[int, int] = field(default_factory=dict)
+    tau_target: dict[int, int] = field(default_factory=dict)
+
+
+def gen_fixture_ledger(spec: FixtureSpec) -> tuple[TrackState, ChargeLedger]:
+    """Materialize a track state realizing the fixture and charge it.
+
+    The base carries identity pairs for positions 2..n and a full track
+    (cross pairs for 2..t); the fixture's extra classes are merged in, the
+    1-/t-charging pass runs for real, and declared charge targets are
+    checked against the result.
+    """
+    n = spec.n
+    t = n // 5
+    if t < 2:
+        raise InfeasibleFixture(f"n={n} gives track parameter t={t} < 2")
+    for pos, target in list(spec.sigma_target.items()) + list(spec.tau_target.items()):
+        if target > 4:
+            raise InfeasibleFixture(f"declared charge count {target} at {pos} exceeds 4")
+    counter = 0
+
+    def fresh() -> int:
+        nonlocal counter
+        counter += 1
+        return counter - 1
+
+    a = {p: fresh() for p in range(2, n + 1)}
+    b = {p: fresh() for p in range(2, n + 1)}
+    cc = {p: fresh() for p in range(2, t + 1)}
+    d = {p: fresh() for p in range(2, t + 1)}
+    named: dict[str, int] = {}
+
+    def resolve(ref: ElementRef) -> int:
+        kind, key = ref
+        if kind == "a":
+            return a[key]
+        if kind == "b":
+            return b[key]
+        if kind == "c":
+            return cc[key]
+        if kind == "d":
+            return d[key]
+        if kind == "x":
+            if key not in named:
+                named[key] = fresh()
+            return named[key]
+        raise InfeasibleFixture(f"unknown element reference {ref}")
+
+    rel_classes: dict[int, list[tuple[int, ...]]] = {m: [] for m in range(1, n + 1)}
+    rel_classes[1].extend([(a[2], cc[2]), (b[2], d[2])])
+    for m in range(2, t):
+        rel_classes[m].extend([(a[m], b[m]), (a[m + 1], cc[m + 1]), (b[m + 1], d[m + 1])])
+    for m in range(t, n + 1):
+        rel_classes[m].append((a[m], b[m]))
+    for pos, classes in spec.extra.items():
+        for cls in classes:
+            rel_classes[pos].append(tuple(resolve(ref) for ref in cls))
+
+    # merge classes sharing elements (extras may extend base classes)
+    rels = []
+    for m in range(1, n + 1):
+        rels.append(Partition(_merge_classes(rel_classes[m])))
+    inst = Instance(counter, rels)
+    inst.validate()
+
+    comps = {}
+    for p in range(2, n + 1):
+        if p <= t:
+            comps[p] = Component(pos=p, a=a[p], b=b[p], c=cc[p], d=d[p])
+        else:
+            comps[p] = Component(pos=p, a=a[p], b=b[p])
+    state = TrackState(inst, list(range(-1, n)), comps, extent=t)
+
+    kind, payload = charge_scheme_2(state)
+    if kind == "win":
+        raise InfeasibleFixture("fixture admits an immediate t-charging win")
+    ledger = payload
+    for pos, target in spec.sigma_target.items():
+        if ledger.sigma[pos] != target:
+            raise InfeasibleFixture(
+                f"position {pos}: sigma {ledger.sigma[pos]} != declared {target}"
+            )
+    for pos, target in spec.tau_target.items():
+        if ledger.tau[pos] != target:
+            raise InfeasibleFixture(
+                f"position {pos}: tau {ledger.tau[pos]} != declared {target}"
+            )
+    return state, ledger
+
+
+def _merge_classes(classes: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    parent: dict[int, int] = {}
+
+    def find(x: int) -> int:
+        while parent.setdefault(x, x) != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for cl in classes:
+        for e in cl[1:]:
+            parent[find(e)] = find(cl[0])
+    groups: dict[int, set[int]] = {}
+    for cl in classes:
+        for e in cl:
+            groups.setdefault(find(e), set()).add(e)
+    return [tuple(sorted(g)) for g in groups.values()]
+
+
+# ------------------------------------------------ hand-built states
+
 
 
 def _pump_sigma(extra: dict, j: int, tag: str) -> None:

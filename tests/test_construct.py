@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import fixtures
 from completion_ref import complete_assignment_dfs
+from fixtures import FixtureSpec, gen_fixture_ledger
 from grinblat.construct import (
     ChargeLedger,
     LuckyData,
@@ -38,12 +39,7 @@ from grinblat.errors import (
     HypothesisViolation,
     InternalLogicError,
 )
-from grinblat.gen import (
-    FixtureSpec,
-    gen_fixture_ledger,
-    gen_planted_concentrated,
-    gen_random_hypothesis,
-)
+from grinblat.gen import gen_planted_concentrated, gen_random_hypothesis
 
 
 def base_state(n=30, extra=None):

@@ -1,12 +1,15 @@
 """Core data model tests: partitions, kernels, verification, normalization."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import grinblat
 from grinblat.core import (
-    CsrPartition,
     Instance,
     KernelInfo,
     Matching,
@@ -225,13 +228,14 @@ def test_normalize_single_class_properties(k):
 # ------------------------------------------------ the tuple and CSR views
 
 
-def _from_arrays(classes) -> CsrPartition:
-    # the array-born partition of classes, as the generator builds one
+def _from_arrays(classes) -> Partition:
+    # the array-born partition of disjoint classes of size >= 2, as the
+    # generator builds one
     canon = Partition(classes).classes
     sizes = [len(cl) for cl in canon]
     elems = np.array([x for cl in canon for x in cl], np.int64)
     starts = np.cumsum([0, *sizes[:-1]]) if sizes else np.zeros(0, np.int64)
-    return CsrPartition(elems, starts.astype(np.int64))
+    return Partition._from_arrays(elems, starts.astype(np.int64))
 
 
 def _reference_write(inst: Instance) -> bytes:
@@ -243,30 +247,43 @@ def _reference_write(inst: Instance) -> bytes:
     return ("\n".join(out) + "\n").encode()
 
 
-# the generator's partitions hold non-negative elements and no empty class
-_class_lists = st.lists(st.lists(st.integers(0, 12), min_size=1, max_size=4), max_size=5)
+@st.composite
+def _class_lists(draw):
+    # disjoint classes of 2 to 4 elements from 0..12, possibly none: what
+    # Partition._from_arrays takes, as the generator and the parser check
+    elems = draw(st.permutations(range(13)))
+    sizes = draw(st.lists(st.integers(2, 4), max_size=5))
+    classes, at = [], 0
+    for k in sizes:
+        if at + k > len(elems):
+            break
+        classes.append(elems[at : at + k])
+        at += k
+    return classes
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(_class_lists, max_size=3), _class_lists, st.integers(0, 14))
+@given(st.lists(_class_lists(), max_size=3), _class_lists(), st.integers(0, 14))
 def test_array_and_tuple_views_agree(relations, other, ground):
-    # classes may be invalid (small, overlapping, out of range) and
-    # relations may be empty; an instance may have none
+    # the ground size may be too small, and relations may be empty; an
+    # instance may have none
     tuple_born = [Partition(cls) for cls in relations]
     inst = Instance(ground, [_from_arrays(cls) for cls in relations])
     assert write_instance(inst) == _reference_write(Instance(ground, tuple_born))
     assert write_instance(Instance(ground, tuple_born)) == write_instance(inst)
     # writing built no tuple
-    assert all("classes" not in p.__dict__ for p in inst.relations)
+    assert all("classes" not in vars(p) for p in inst.relations)
     assert inst == Instance(ground, tuple_born)
     for a, cls in zip(tuple_born, relations):
         b = _from_arrays(cls)
         assert (a == b, b == a) == (True, True)
         assert b.classes == a.classes and hash(b) == hash(a)
         assert kernel(_from_arrays(cls)) == kernel(a)
+        assert kernel_size(_from_arrays(cls)) == kernel_size(a)
         assert _outcome(_from_arrays(cls).validate, ground) == _outcome(a.validate, ground)
         for x in range(-2, 13):
             assert b.class_of(x) == a.class_of(x)
+            assert [b.equivalent(x, y) for y in range(-2, 13)] == [a.equivalent(x, y) for y in range(-2, 13)]
         same = Partition(cls).classes == Partition(other).classes
         for p, q in ((a, _from_arrays(other)), (_from_arrays(other), a)):
             assert (p == q, p != q) == (same, not same)
@@ -278,19 +295,21 @@ def test_tuple_born_partition_builds_no_array():
     assert (p.classes, kernel(p), p.class_of(3)) == (((0, 2, 3), (1, 4)), {0, 1, 2, 3, 4}, (0, 2, 3))
     assert p == Partition([(1, 4), (2, 3, 0)])
     assert write_instance(Instance(5, [p])) == b"grinblat 1 1 5\nrel 0 2\n0 2 3\n1 4\n"
+    assert _same_class(p, 0, 3) and direct_pair(p, {0}) == (2, 3) and kernel_size(p) == 5
+    assert p.arrays is None
     assert not any(isinstance(v, np.ndarray) for v in vars(p).values())
 
 
 def test_generated_partitions_build_tuples_only_when_read():
     inst = gen_random_hypothesis(6, 20, seed=5)
     data = write_instance(inst)
-    assert all("classes" not in p.__dict__ for p in inst.relations)
+    assert all("classes" not in vars(p) for p in inst.relations)
     parsed = parse_instance(data)
     assert parsed == inst
     # both sides hold arrays, and == compared those
-    assert all("classes" not in p.__dict__ for p in inst.relations + parsed.relations)
+    assert all("classes" not in vars(p) for p in inst.relations + parsed.relations)
     assert inst.relations[0].classes == parsed.relations[0].classes
-    assert "classes" in inst.relations[0].__dict__
+    assert "classes" in vars(inst.relations[0])
 
 
 @st.composite
@@ -316,7 +335,8 @@ def test_parsed_and_tuple_born_partitions_agree(drawn, used):
     a = Partition(classes)
     inst = parse_instance(write_instance(Instance(ground, [a])))
     b = inst.relations[0]
-    assert isinstance(b, CsrPartition) and "_flat" in b.__dict__
+    # the parser kept the checked arrays and derived the flat view
+    assert b.arrays is not None and {"_flat", "_marks"} <= vars(b).keys()
     assert write_instance(inst) == write_instance(Instance(ground, [a]))
     # the flat view's readers, before any tuple is built
     same = {(x, y) for cl in classes for x in cl for y in cl if x != y}
@@ -328,7 +348,7 @@ def test_parsed_and_tuple_born_partitions_agree(drawn, used):
     for k in range(len(used) + 1):
         assert direct_pair(b, set(used[:k])) == direct_pair(a, set(used[:k]))
     assert kernel_size(b) == kernel_size(a) == len(kernel(a))
-    assert "classes" not in b.__dict__ and "_kernel_cache" not in b.__dict__
+    assert not {"classes", "_kernel"} & vars(b).keys()
     for g in (ground, ground - 1, max(kernel(a)), 0):
         assert _outcome(b.validate, g) == _outcome(a.validate, g)
     assert (a == b, b == a, a != b, b != a) == (True, True, False, False)
@@ -360,7 +380,7 @@ def test_parsed_pipeline_builds_no_class_tuple_or_kernel():
     res = solve(inst, c=8)
     assert verify_matching(inst, res.matching).valid
     for p in inst.relations + generated.relations:
-        assert "classes" not in p.__dict__ and "_kernel_cache" not in p.__dict__
+        assert not {"classes", "_kernel"} & vars(p).keys()
 
 
 @pytest.mark.parametrize("classes", [
@@ -375,3 +395,23 @@ def test_tuple_born_partitions_keep_the_class_join(classes):
     wide = [(0, 9, 10, 99, 100, 10**18)]
     inst = Instance(4, [Partition(classes), _from_arrays(wide)])
     assert write_instance(inst) == _reference_write(Instance(4, [Partition(classes), Partition(wide)]))
+
+
+def test_only_core_reads_an_objects_dict():
+    # how a partition caches its views is core's business: no other module
+    # reads or writes an object's __dict__, save oracle._pairs_of's cache
+    pkg = Path(grinblat.__file__).parent
+    allowed, found = [], []
+    for path in sorted(pkg.rglob("*.py")):
+        name = path.relative_to(pkg).as_posix()
+        if name == "core.py":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Attribute) and node.attr == "__dict__") or (
+                    isinstance(node, ast.Call) and getattr(node.func, "id", None) == "vars"
+                ):
+                    where = (name, getattr(top, "name", None))
+                    (allowed if where == ("oracle.py", "_pairs_of") else found).append((*where, node.lineno))
+    assert found == []
+    assert allowed  # the scan sees the one use it allows

@@ -6,13 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fixtures import FixtureSpec, InfeasibleFixture, gen_fixture_ledger
 from grinblat.construct import hypothesis_bound, try_direct_pair
 from grinblat.construct.pipeline import _initial_state
 from grinblat.core import KernelInfo, kernel, min_kernel, verify_matching
-from grinblat.errors import InfeasibleFixture
 from grinblat.gen import (
-    FixtureSpec,
-    gen_fixture_ledger,
     gen_lower_bound_family,
     gen_planted_concentrated,
     gen_random_hypothesis,

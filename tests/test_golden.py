@@ -45,13 +45,26 @@ GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize("n, c, seed, branch, digest", GOLDEN)
-def test_planted_matching_digest(n, c, seed, branch, digest):
-    inst, sub = gen_planted_concentrated(n, c, seed)
+def _check_planted_step(inst, sub, c, branch, digest):
     tel = Telemetry()
     m = extend_matching(inst, sub, new_rel=0, c=c, telemetry=tel)
     assert tel.win_branch == branch
     assert _sha(write_matching(m)) == digest
+
+
+@pytest.mark.parametrize("n, c, seed, branch, digest", GOLDEN)
+def test_planted_matching_digest(n, c, seed, branch, digest):
+    inst, sub = gen_planted_concentrated(n, c, seed)
+    _check_planted_step(inst, sub, c, branch, digest)
+
+
+@pytest.mark.parametrize("n, c, seed, branch, digest", GOLDEN)
+def test_planted_matching_digest_after_parse(n, c, seed, branch, digest):
+    # the same step on the written and parsed instance, whose relations
+    # hold the parser's arrays rather than class tuples: the golden path
+    # that takes array-born relations through every deep phase
+    inst, sub = gen_planted_concentrated(n, c, seed)
+    _check_planted_step(parse_instance(write_instance(inst)), sub, c, branch, digest)
 
 
 TRACK_PAIR_GOLDEN = [

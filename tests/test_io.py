@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from grinblat import cli
 from grinblat.construct import Telemetry, solve
-from grinblat.core import Instance, Matching, Partition, kernel
+from grinblat.core import Instance, Matching, Partition, kernel, kernel_size
 from grinblat.errors import ParseError
 from grinblat.experiment import (
     CSV_HEADER,
@@ -225,7 +225,8 @@ def test_parse_instance_non_canonical_text_gives_same_instance(n, c, seed, rewri
 
 def test_canonical_text_is_read_without_canonicalising(monkeypatch):
     # every relation of write_instance's output takes the one-pass path,
-    # which builds no Partition through __init__ and fills both caches
+    # which builds no Partition through __init__ and keeps the checked
+    # arrays; the kernel and span read from them agree with the classes
     inst = gen_random_hypothesis(6, 20, seed=3)
     data = write_instance(inst)
 
@@ -237,9 +238,10 @@ def test_canonical_text_is_read_without_canonicalising(monkeypatch):
     monkeypatch.undo()
     assert parsed == inst
     for p in parsed.relations:
-        kern = kernel(p)
-        assert p.__dict__["_kernel_cache"] == frozenset(x for cl in p.classes for x in cl)
-        assert p.__dict__["_span_cache"] == (min(kern), max(kern))
+        assert p.arrays is not None
+        kern = frozenset(x for cl in p.classes for x in cl)
+        assert kernel(p) == kern and kernel_size(p) == len(kern)
+        assert p._span == (min(kern), max(kern))
 
 
 def test_non_canonical_text_is_read_with_kernel_cached():
@@ -248,9 +250,10 @@ def test_non_canonical_text_is_read_with_kernel_cached():
     parsed = parse_instance("grinblat 1 2 6\nrel 0 2\n3 1\n0 5\nrel 1 1\n4 2 0\n")
     assert [p.classes for p in parsed.relations] == [((0, 5), (1, 3)), ((0, 2, 4),)]
     for p in parsed.relations:
-        kern = p.__dict__["_kernel_cache"]
+        assert p.arrays is None
+        kern = vars(p)["_kernel"]
         assert kern == frozenset(x for cl in p.classes for x in cl)
-        assert p.__dict__["_span_cache"] == (min(kern), max(kern))
+        assert vars(p)["_span"] == (min(kern), max(kern))
 
 
 def test_25_digit_element_names_its_line():
