@@ -17,7 +17,16 @@ import random
 
 import pytest
 
-from grinblat.construct import Telemetry, extend_matching, solve
+from grinblat.construct import (
+    Telemetry,
+    build_track,
+    charge_scheme_2,
+    charge_scheme_3,
+    extend_matching,
+    heavy_indices,
+    solve,
+)
+from grinblat.construct.pipeline import _initial_state
 from grinblat.core import Instance, Partition, verify_matching
 from grinblat.experiment import ExperimentConfig, run_experiment
 from grinblat.formats import parse_instance, write_instance, write_matching
@@ -268,3 +277,40 @@ def test_search_stops_before_an_unaffordable_cell():
     # there, and with no node spent on it
     res = search_unmatchable(2, 7, 12, budget=60_000)
     assert (res.witness, res.nodes, res.exhausted) == (None, 34_650, False)
+
+
+CHARGING_STEPS = [(100, 32, 1), (100, 32, 2), (100, 32, 3), (100, 32, 4), (100, 32, 5),
+                  (60, 20, 1), (200, 64, 1), (150, 48, 2)]
+
+
+def _charging_record(n, c, seed):
+    """Everything the charging schemes choose on one planted step, in a
+    canonical sorted form: the track after Scheme 1, then the pairs of the
+    t-pair win, or the Scheme 2 ledger and every Scheme 3 table."""
+    inst, sub = gen_planted_concentrated(n, c, seed)
+    kind, state = build_track(_initial_state(inst, sub, 0))
+    assert kind == "track"
+    rec = {"track": [state.perm, [[p, state.comps[p].elements] for p in sorted(state.comps)]]}
+    kind, ledger = charge_scheme_2(state)
+    if kind == "win":
+        rec["t_pair"] = ledger.pairs
+        return rec
+    rec["ledger"] = [
+        ledger.n, ledger.t, ledger.sigma, ledger.tau,
+        sorted(ledger.S.items()), sorted(ledger.T.items()),
+        sorted(ledger.one_partner.items()), sorted(ledger.t_partner.items()),
+    ]
+    rec["tables"] = []
+    for i in heavy_indices(state, ledger, c):
+        kind, table = charge_scheme_3(state, ledger, i)
+        assert kind == "table"
+        rec["tables"].append([i, sorted(table.items())])
+    return rec
+
+
+def test_charging_digest():
+    # pins Scheme 1's track choices, every ChargeLedger field and every
+    # Scheme 3 table on deep planted steps, so a rewrite of the charging
+    # pass must charge each kernel element to the same place
+    rows = [_charging_record(*step) for step in CHARGING_STEPS]
+    assert _sha(json.dumps(rows).encode()) == "62ecbaa7fbe8aa51dfc6089e15f11f455143e4e3ceb6f0a4e0ba242e1a652d54"
