@@ -1,4 +1,13 @@
-"""Track construction and the 1-/t-charging pass.
+"""Track construction, the 1-/t-charging pass, and the charging loop
+that all three schemes share.
+
+``_charge`` charges each kernel element of a relation to one component:
+an element of a "direct" set to its own, any other to the lowest identity
+member of its class past a given position.  Scheme 1 (``build_track``),
+Scheme 2 (``charge_scheme_2``) and Scheme 3 (``heavy.charge_scheme_3``)
+differ only in its parameters, and ``_check_caps`` holds the caps they
+share: at most 4 charges per component, at most 2 from outside the
+direct set.
 
 The win checks here all reduce to the same test: a pair of equivalent
 elements that both avoid the right-side components lets us finish, unless
@@ -64,33 +73,71 @@ def _find_win_pair(state: TrackState, pos: int) -> Optional[tuple[int, int]]:
     return None
 
 
-def _charge_once(state: TrackState, pos: int):
-    """Charging Scheme 1 for the relation at ``pos``: every kernel element is
-    charged to exactly one component.  Returns (counts, outsiders) where
-    outsiders[p] lists (element, identity partner) pairs charged from outside B'.
+def _charge(
+    state: TrackState,
+    pos: int,
+    direct: AbstractSet[int],
+    above: int,
+    skip: AbstractSet[int] = frozenset(),
+    hold: AbstractSet[int] = frozenset(),
+):
+    """The one charging pass, shared by Schemes 1, 2 and 3: charge each
+    kernel element of the relation at ``pos`` to one component.
+
+    Visiting class by class, an element in ``direct`` is charged to its
+    own component; one in ``skip``, which must be disjoint from ``direct``,
+    is left alone; any other is held if its class meets ``hold``, else
+    charged as an outsider to the class's lowest identity member past
+    position ``above`` (ties go to the smaller element), else stuck.
+    Returns (counts, outsiders, held, stuck): counts[p] charges per
+    position, outsiders[p] the (element, identity partner) pairs charged
+    to p in visit order, the held elements, and the stuck elements, each
+    with its class.
     """
-    rel = state.relation_at(pos)
-    bprime = state.bprime_set
     comp_of = state.component_of()
     counts = [0] * (state.n + 1)
     outsiders: dict[int, list[tuple[int, int]]] = {}
-    for cl in rel.classes:
-        target = None  # the class's lowest right-side identity member, found on first need
+    held: list[int] = []
+    stuck: list[tuple[int, tuple[int, ...]]] = []
+    for cl in state.relation_at(pos).classes:
+        held_cl = target = None  # per-class facts, each found on first need
         for x in cl:
-            if x in bprime:
+            if x in direct:
                 counts[comp_of[x]] += 1
                 continue
+            if x in skip:
+                continue
+            if held_cl is None:
+                held_cl = bool(hold) and not hold.isdisjoint(cl)
+            if held_cl:
+                held.append(x)
+                continue
             if target is None:
-                target = state.lowest_identity_member(cl, state.extent)
-                if target is None:
-                    raise InternalLogicError(
-                        "charge_scheme_1",
-                        f"element {x} of relation at position {pos} has no charge target; {state.digest()}",
-                    )
+                target = state.lowest_identity_member(cl, above) or ()
+            if not target:
+                stuck.append((x, cl))
+                continue
             p, partner = target
             counts[p] += 1
             outsiders.setdefault(p, []).append((x, partner))
-    return counts, outsiders
+    return counts, outsiders, held, stuck
+
+
+def _no_target(step: str, state: TrackState, pos: int, x: int) -> InternalLogicError:
+    return InternalLogicError(
+        step, f"element {x} of relation at position {pos} has no charge target; {state.digest()}"
+    )
+
+
+def _check_caps(step: str, counts, outsiders) -> None:
+    """The caps every charging scheme obeys: each position gets at most 4
+    charges, at most 2 of them from outside the direct set."""
+    for p, cnt in enumerate(counts):
+        if cnt > 4:
+            raise InternalLogicError(step, f"position {p} got {cnt} > 4 charges")
+    for p, outs in outsiders.items():
+        if len(outs) > 2:
+            raise InternalLogicError(step, f"position {p} got {len(outs)} > 2 outside charges")
 
 
 def build_track(state: TrackState, telemetry: Optional[Telemetry] = None):
@@ -106,21 +153,17 @@ def build_track(state: TrackState, telemetry: Optional[Telemetry] = None):
             if telemetry:
                 telemetry.record("build_track", win="track_pair", step=pos, track_len=state.extent - 1)
             return ("win", m)
-        counts, outsiders = _charge_once(state, pos)
+        counts, outsiders, _, stuck = _charge(state, pos, state.bprime_set, state.extent)
+        if stuck:
+            raise _no_target("charge_scheme_1", state, pos, stuck[0][0])
         total = sum(counts)
         ksize = len(kernel(state.relation_at(pos)))
         if total != ksize:
             raise InternalLogicError(
                 "charge_scheme_1", f"charge total {total} != kernel size {ksize}"
             )
-        chosen = None
-        for p in state.right_positions():
-            if counts[p] > 4:
-                raise InternalLogicError(
-                    "charge_scheme_1", f"component at position {p} got {counts[p]} > 4 charges"
-                )
-            if counts[p] == 4 and chosen is None:
-                chosen = p
+        _check_caps("charge_scheme_1", counts, outsiders)
+        chosen = next((p for p in state.right_positions() if counts[p] == 4), None)
         if chosen is None:
             raise InternalLogicError(
                 "build_track",
@@ -150,7 +193,6 @@ def charge_scheme_2(state: TrackState, telemetry: Optional[Telemetry] = None):
         raise InternalLogicError("charge_scheme_2", f"track extent {state.extent} != t {t}")
     comp_of = state.component_of()
     b = state.b_set
-    rel1 = state.relation_at(1)
     relt = state.relation_at(t)
 
     # an unexcluded t-pair outside C_right ends the step immediately
@@ -161,75 +203,46 @@ def charge_scheme_2(state: TrackState, telemetry: Optional[Telemetry] = None):
             telemetry.record("charge_scheme_2", win="t_pair")
         return ("win", m)
 
-    sigma = [0] * (n + 1)
-    tau = [0] * (n + 1)
+    # 1-charging; an element with no target is unreachable after
+    # try_direct_pair found nothing: then each class holds at most one
+    # element outside B, so x's class holds a member of B, at position >= 2
+    sigma, outsiders, _, stuck = _charge(state, 1, b, 1)
+    if stuck:
+        raise _no_target("charge_scheme_2", state, 1, stuck[0][0])
+    one_partner = {x: x for x in kernel(state.relation_at(1)) & b}
     S: dict[int, list[int]] = {}
+    for p, outs in outsiders.items():
+        S[p] = [x for x, _ in outs]
+        one_partner.update(outs)
+
+    # t-charging, past the cross pairs that are t-equivalent in their component
     T: dict[int, list[int]] = {}
-    one_partner: dict[int, int] = {}
     t_partner: dict[int, int] = {}
-
-    for cl in rel1.classes:
-        target = None  # the class's lowest member of B, found on first need
-        for x in cl:
-            if x in b:
-                sigma[comp_of[x]] += 1
-                one_partner[x] = x
-                continue
-            if target is None:
-                target = state.lowest_identity_member(cl, 1)
-                if target is None:
-                    # unreachable after try_direct_pair found nothing: then
-                    # each class holds at most one element outside B, so
-                    # x's class holds a member of B, at position >= 2
-                    raise InternalLogicError(
-                        "charge_scheme_2",
-                        f"element {x} of relation at position 1 has no charge target; {state.digest()}",
-                    )
-            p, partner = target
-            sigma[p] += 1
-            S.setdefault(p, []).append(x)
-            one_partner[x] = partner
-
     special: set[int] = set()
     for j in state.left_positions():
         comp = state.comps[j]
         if comp.d in relt.class_of(comp.c):
-            tau[j] += 2
-            T.setdefault(j, []).extend([comp.c, comp.d])
+            T[j] = [comp.c, comp.d]
             t_partner[comp.c] = comp.d
             t_partner[comp.d] = comp.c
             special.update((comp.c, comp.d))
-
-    for cl in relt.classes:
-        target = None  # the class's lowest right-side member of B, found on first need
-        for z in cl:
-            if z in special:
-                continue
-            if z in b:
-                tau[comp_of[z]] += 1
-                t_partner[z] = z
-                continue
-            if target is None:
-                target = state.lowest_identity_member(cl, t)
-            if target is not None:
-                p, partner = target
-                tau[p] += 1
-                T.setdefault(p, []).append(z)
-                t_partner[z] = partner
-                continue
-            # z is c_j or d_j and t-equivalent within its own component
-            # (anything else would have been a win above)
-            pz = comp_of.get(z)
-            partner = next(
-                (y for y in cl if y != z and comp_of.get(y) == pz), None
-            )
-            if pz is None or pz > t or partner is None:
-                raise InternalLogicError(
-                    "charge_scheme_2", f"element {z} has no t-charge target; {state.digest()}"
-                )
-            tau[pz] += 1
-            T.setdefault(pz, []).append(z)
-            t_partner[z] = partner
+    tau, outsiders, _, stuck = _charge(state, t, b, t, skip=special)
+    for j in T:
+        tau[j] += 2
+    t_partner.update((z, z) for z in kernel(relt) & b)
+    for p, outs in outsiders.items():
+        T[p] = [z for z, _ in outs]
+        t_partner.update(outs)
+    for z, cl in stuck:
+        # z is c_j or d_j and t-equivalent within its own component
+        # (anything else would have been a win above)
+        pz = comp_of.get(z)
+        partner = next((y for y in cl if y != z and comp_of.get(y) == pz), None)
+        if pz is None or pz > t or partner is None:
+            raise _no_target("charge_scheme_2", state, t, z)
+        tau[pz] += 1
+        T.setdefault(pz, []).append(z)
+        t_partner[z] = partner
 
     ledger = ChargeLedger(
         n=n,
@@ -269,14 +282,10 @@ def _validate_ledger(state: TrackState, ledger: ChargeLedger) -> None:
     seen_s: set[int] = set()
     seen_t: set[int] = set()
     membership: dict[int, int] = {}
+    _check_caps("ledger", ledger.sigma, ledger.S)
+    _check_caps("ledger", ledger.tau, ledger.T)
     for p in range(2, n + 1):
-        if ledger.sigma[p] > 4 or ledger.tau[p] > 4:
-            raise InternalLogicError(
-                "ledger", f"position {p}: sigma {ledger.sigma[p]}, tau {ledger.tau[p]} exceeds 4"
-            )
         s, tt = ledger.S.get(p, ()), ledger.T.get(p, ())
-        if len(s) > 2 or len(tt) > 2:
-            raise InternalLogicError("ledger", f"position {p}: |S|={len(s)}, |T|={len(tt)} exceeds 2")
         for x in s:
             if x in seen_s:
                 raise InternalLogicError("ledger", f"element {x} in two S sets")

@@ -3,8 +3,10 @@
 For a heavy right-side position i we first look for two ways to finish
 outright: an i-equivalent pair avoiding both B and S_i, or an untainted
 left component whose identity element is i-equivalent to something fresh.
-If neither applies, K_i is charged to the right-side components, with a
-small bounded set of elements allowed to stay uncharged.
+If neither applies, K_i is charged to the right-side components by the
+shared charging loop, ``charging._charge``: B' direct, targets past t,
+U_i skipped, and a class that meets S_i or a tainted identity pair held,
+so that a small bounded set of elements stays uncharged.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from typing import Optional
 
 from ..core import kernel
 from ..errors import CompletionImpossible, InternalLogicError
+from .charging import _charge, _check_caps, _no_target
 from .completion import complete_assignment
 from .state import ChargeLedger, Telemetry, TrackState
 
@@ -108,66 +111,29 @@ def charge_scheme_3(
     if m is not None:
         return ("win", m)
 
-    rel = state.relation_at(i)
-    bprime = state.bprime_set
-    comp_of = state.component_of()
     ui = set(ledger.U(i))
-    skip_set = set(ledger.S.get(i, ()))
+    hold = set(ledger.S.get(i, ()))
     for j in tainted:
         comp = state.comps[j]
-        skip_set.update((comp.a, comp.b))
-
-    counts: dict[int, int] = {}
-    outsiders: dict[int, list[tuple[int, int]]] = {}
-    uncharged: list[int] = []
-    for cl in rel.classes:
-        # per-class facts, each found on first need: whether the class meets
-        # S_i or a tainted identity pair, and its lowest right-side member
-        skip = target = None
-        for x in cl:
-            if x in ui:
-                continue
-            if x in bprime:
-                p = comp_of[x]
-                counts[p] = counts.get(p, 0) + 1
-                continue
-            if skip is None:
-                skip = not skip_set.isdisjoint(cl)
-            if skip:
-                uncharged.append(x)
-                continue
-            if target is None:
-                target = state.lowest_identity_member(cl, state.t)
-                if target is None:
-                    raise InternalLogicError(
-                        "charge_scheme_3",
-                        f"element {x} of relation at position {i} is dead; {state.digest()}",
-                    )
-            p, partner = target
-            counts[p] = counts.get(p, 0) + 1
-            outsiders.setdefault(p, []).append((x, partner))
-
-    if len(uncharged) > 6:
+        hold.update((comp.a, comp.b))
+    # T_i may hold cross pair elements, which lie in B' but are skipped
+    counts, outsiders, held, stuck = _charge(
+        state, i, state.bprime_set - ui, state.t, skip=ui, hold=hold
+    )
+    if stuck:
+        raise _no_target("charge_scheme_3", state, i, stuck[0][0])
+    if len(held) > 6:
         raise InternalLogicError(
-            "charge_scheme_3", f"{len(uncharged)} uncharged elements for position {i}, cap is 6"
+            "charge_scheme_3", f"{len(held)} uncharged elements for position {i}, cap is 6"
         )
-    covered = sum(counts.values()) + len(uncharged) + len(ui & kernel(rel))
-    if covered != len(kernel(rel)):
+    kern = kernel(state.relation_at(i))
+    covered = sum(counts) + len(held) + len(ui & kern)
+    if covered != len(kern):
         raise InternalLogicError(
             "charge_scheme_3", f"charge accounting off for position {i}: {covered}"
         )
-    table: dict[int, tuple[int, tuple[tuple[int, int], ...]]] = {}
-    for p, cnt in counts.items():
-        if cnt > 4:
-            raise InternalLogicError(
-                "charge_scheme_3", f"position {p} got {cnt} > 4 i-charges (i at {i})"
-            )
-        outs = tuple(outsiders.get(p, ()))
-        if len(outs) > 2:
-            raise InternalLogicError(
-                "charge_scheme_3", f"position {p} got {len(outs)} > 2 outside i-charges"
-            )
-        table[p] = (cnt, outs)
+    _check_caps("charge_scheme_3", counts, outsiders)
+    table = {p: (cnt, tuple(outsiders.get(p, ()))) for p, cnt in enumerate(counts) if cnt}
     return ("table", table)
 
 

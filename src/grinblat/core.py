@@ -123,6 +123,17 @@ class Partition:
         return None
 
     @_view
+    def _pairs(self) -> list[tuple[int, int]]:
+        """Every pair of equivalent elements, in sorted order.  Callers
+        share the list and must not mutate it: exact_solve only ever
+        replaces a relation's list with a filtered copy."""
+        out = []
+        for cl in self.classes:
+            out.extend(itertools.combinations(cl, 2))
+        out.sort()
+        return out
+
+    @_view
     def _index(self) -> dict[int, tuple[int, ...]]:
         """Each listed element's class."""
         return {x: cl for cl in self.classes for x in cl}

@@ -26,22 +26,6 @@ class SolveResult:
     nodes: int = 0
 
 
-def _pairs_of(p: Partition) -> list[tuple[int, int]]:
-    """The partition's pairs in sorted order, cached on it like its kernel.
-
-    Callers share the cached list and must not mutate it: exact_solve only
-    ever replaces a relation's list with a filtered copy.
-    """
-    out = p.__dict__.get("_pairs_cache")
-    if out is None:
-        out = []
-        for cl in p.classes:
-            out.extend(itertools.combinations(cl, 2))
-        out.sort()
-        p.__dict__["_pairs_cache"] = out
-    return out
-
-
 def exact_solve(inst: Instance, budget: Optional[int] = None) -> SolveResult:
     """Backtracking search; fail-first relation order, deterministic.
 
@@ -52,7 +36,7 @@ def exact_solve(inst: Instance, budget: Optional[int] = None) -> SolveResult:
     n = inst.n
     if n == 0:
         return SolveResult("matched", Matching([]), 0)
-    pair_lists = [_pairs_of(p) for p in inst.relations]
+    pair_lists = [p._pairs for p in inst.relations]
     if any(not pl for pl in pair_lists):
         return SolveResult("proven-none", None, 0)
     kernels = [kernel(p) for p in inst.relations]

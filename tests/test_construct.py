@@ -31,6 +31,7 @@ from grinblat.construct import (
     try_direct_pair,
     try_five_heavy_left_win,
 )
+from grinblat.construct.charging import _charge, _check_caps
 from grinblat.construct.lucky import _conflicting, exclusion_set
 from grinblat.construct.pipeline import _initial_state
 from grinblat.core import Instance, Matching, Partition, kernel, verify_matching
@@ -299,6 +300,63 @@ class TestTrackStateSets:
 # ------------------------------------------------------------- charge schemes
 
 
+class TestChargingPass:
+    """The one pass behind Schemes 1-3, on a hand-built relation at right
+    position 10 with one class per outcome."""
+
+    @staticmethod
+    def _state():
+        state, _ = base_state(extra={10: [
+            [("a", 3), ("x", "stuck")],  # its one identity member sits at 3
+            [("a", 12), ("x", "held"), ("x", "hold")],
+            [("a", 15), ("a", 20), ("x", "out")],
+            [("a", 16), ("x", "skip")],
+            [("a", 25), ("b", 25), ("x", "tie")],
+        ]})
+        rel = state.relation_at(10)
+        return state, state.comps, lambda p: rel.class_of(state.comps[p].a)
+
+    def test_each_element_lands_in_its_outcome(self):
+        state, comps, cl = self._state()
+        counts, outsiders, held, stuck = _charge(
+            state, 10, state.bprime_set, 7, skip={cl(16)[1]}, hold={cl(12)[2]}
+        )
+        # direct: every identity element, a_16 too (only its partner is skipped)
+        expected = {3: 1, 10: 2, 12: 1, 15: 2, 16: 1, 20: 1, 25: 3}
+        assert {p: k for p, k in enumerate(counts) if k} == expected
+        # outsiders go to the lowest identity member past 7; the tie at 25
+        # goes to the smaller element, a_25
+        assert outsiders == {15: [(cl(15)[2], comps[15].a)], 25: [(cl(25)[2], comps[25].a)]}
+        assert held == [cl(12)[1], cl(12)[2]]
+        assert stuck == [(cl(3)[1], cl(3))]
+
+    def test_above_moves_the_target(self):
+        state, comps, cl = self._state()
+        _, outsiders, _, stuck = _charge(state, 10, state.bprime_set, 15)
+        assert outsiders[20] == [(cl(15)[2], comps[20].a)]
+        assert 15 not in outsiders
+        # nothing held: the class of a_12 is stuck as well now
+        assert [x for x, _ in stuck] == [cl(3)[1], cl(12)[1], cl(12)[2]]
+
+    def test_scheme_3_raises_on_a_stuck_element(self):
+        # c_3 ~8 z with S_8 empty: no win applies, and z has no identity
+        # member past t to be charged to
+        state, ledger = base_state(extra={8: [[("c", 3), ("x", "z")]]})
+        with pytest.raises(InternalLogicError) as err:
+            charge_scheme_3(state, ledger, 8)
+        assert err.value.step == "charge_scheme_3"
+        assert "no charge target" in err.value.detail
+
+    @pytest.mark.parametrize("counts, outsiders", [
+        ([0, 0, 5], {}),
+        ([0, 0, 3], {2: [(7, 0), (8, 0), (9, 1)]}),
+    ], ids=["five-charges", "three-outsiders"])
+    def test_caps_raise_with_the_scheme_step(self, counts, outsiders):
+        with pytest.raises(InternalLogicError) as err:
+            _check_caps("charge_scheme_1", counts, outsiders)
+        assert err.value.step == "charge_scheme_1"
+
+
 class TestChargeScheme2:
     def test_conservation_and_caps(self):
         state, ledger = base_state()
@@ -412,6 +470,22 @@ class TestChargeScheme3:
         assert table[8][0] >= 2
         for pos, (cnt, outs) in table.items():
             assert cnt <= 4 and len(outs) <= 2
+
+    def test_table_skips_u_and_holds_a_tainted_class(self):
+        # c_3 ~1 a_8 puts c_3, which lies in B', in S_8: relation 8 skips it
+        # rather than charge it to component 3.  c_4 ~t a_8 puts c_4 in T_8
+        # and so taints component 4: the class {a_4, x} of relation 8 is
+        # held, where x would otherwise be stuck
+        state, ledger = base_state(extra={
+            1: [[("c", 3), ("a", 8)]],
+            6: [[("c", 4), ("a", 8)]],
+            8: [[("a", 4), ("x", "x")], [("a", 20), ("c", 3)]],
+        })
+        assert ledger.S[8] == (state.comps[3].c,)
+        assert ledger.T[8] == (state.comps[4].c,)
+        kind, table = charge_scheme_3(state, ledger, 8)
+        assert kind == "table"
+        assert table == {4: (1, ()), 8: (2, ()), 20: (1, ())}
 
     def test_win_fresh_pair(self):
         state, ledger = fixtures.scheme3_win_fresh_pair()
