@@ -21,12 +21,13 @@ from .pipeline import (
     hypothesis_bound,
     solve,
 )
-from .state import ChargeLedger, Component, LuckyData, Telemetry, TrackState
+from .state import ChargeLedger, ChargeTables, Component, LuckyData, Telemetry, TrackState
 
 __all__ = [
     "DEFAULT_C",
     "DEFAULT_N_MIN",
     "ChargeLedger",
+    "ChargeTables",
     "Component",
     "LuckyData",
     "Telemetry",

@@ -1,13 +1,19 @@
-"""Track construction, the 1-/t-charging pass, and the charging loop
+"""Track construction, the 1-/t-charging pass, and the charging pass
 that all three schemes share.
 
 ``_charge`` charges each kernel element of a relation to one component:
 an element of a "direct" set to its own, any other to the lowest identity
-member of its class past a given position.  Scheme 1 (``build_track``),
-Scheme 2 (``charge_scheme_2``) and Scheme 3 (``heavy.charge_scheme_3``)
-differ only in its parameters, and ``_check_caps`` holds the caps they
-share: at most 4 charges per component, at most 2 from outside the
-direct set.
+member of its class past a given position.  It is one numpy pass over a
+batch of rows (relation positions), the kernels flattened class by class
+(``_Batch``), with the direct, skip and hold sets given as masks over the
+batch.  A class's target is one ``np.minimum.reduceat`` over the key
+position * ground + element of its identity members past that position,
+so ties in position go to the smaller element.  Scheme 1
+(``build_track``) and Scheme 2 (``charge_scheme_2``) charge one row per
+call; Scheme 3 (``heavy.charge_scheme_3``) charges all heavy rows in
+batches of at most ``BLOCK_ELEMENTS`` elements.  ``_check_caps`` holds the
+caps they share: at most 4 charges per component, at most 2 from outside
+the direct set.
 
 The win checks here all reduce to the same test: a pair of equivalent
 elements that both avoid the right-side components lets us finish, unless
@@ -17,12 +23,16 @@ left-side component.
 
 from __future__ import annotations
 
-from typing import AbstractSet, Optional
+import itertools
+from typing import TYPE_CHECKING, AbstractSet, Iterator, Optional
 
-from ..core import Matching, Partition, kernel
+from ..core import Matching, Partition, kernel, kernel_size
 from ..errors import CompletionImpossible, InternalLogicError
 from .completion import complete_assignment
 from .state import ChargeLedger, Component, Telemetry, TrackState
+
+if TYPE_CHECKING:  # numpy is imported where it is used, as in state.position_arrays
+    import numpy as np
 
 
 def direct_pair(rel: Partition, used: AbstractSet[int]) -> Optional[tuple[int, int]]:
@@ -57,14 +67,68 @@ def _excluded(comp_of: dict[int, int], state: TrackState, x: int, y: int) -> boo
     return (x in comp.top and y in comp.bottom) or (x in comp.bottom and y in comp.top)
 
 
-def _find_win_pair(state: TrackState, pos: int) -> Optional[tuple[int, int]]:
-    """A non-excluded equivalent pair outside C_right under the relation at pos."""
+BLOCK_ELEMENTS = 8192
+"""The most kernel elements one batch of Scheme 3 rows holds (a single
+larger row makes a batch of its own), so the pass's arrays stay small."""
+
+_NO_TARGET = 2**63 - 1  # the largest int64: a class with no target
+
+
+class _Batch:
+    """The kernels of the relations at some positions, the batch's rows,
+    flattened in the order the pass visits them: class by class, each
+    class ascending.  Per element: its component's position (0 if
+    untracked), whether it is an identity element, its row and its class
+    (an index into ``starts``, where each class begins)."""
+
+    __slots__ = ("rows", "x", "px", "ident", "row", "starts", "cls")
+
+    def __init__(self, state: TrackState, rows: list[int]):
+        import numpy as np
+
+        rels = [state.relation_at(p) for p in rows]
+        sizes = [len(rel._flat) for rel in rels]
+        x = np.fromiter(itertools.chain.from_iterable([rel._flat for rel in rels]), np.int64, sum(sizes))
+        marks = np.frombuffer(b"".join([rel._marks for rel in rels]), np.uint8)
+        pos, ident = state.position_arrays()
+        self.rows, self.x, self.px, self.ident = rows, x, pos[x].astype(np.int64), ident[x]
+        self.row = np.repeat(np.arange(len(rows)), sizes) if len(rows) > 1 else np.zeros(len(x), np.intp)
+        self.starts = marks.nonzero()[0]
+        self.cls = np.add.accumulate(marks, dtype=np.intp) - 1
+
+
+def _batches(state: TrackState, rows: list[int]) -> Iterator[_Batch]:
+    """Consecutive runs of rows, each of at most BLOCK_ELEMENTS elements
+    unless it is a single row."""
+    run: list[int] = []
+    size = 0
+    for p in rows:
+        k = len(state.relation_at(p)._flat)
+        if run and size + k > BLOCK_ELEMENTS:
+            yield _Batch(state, run)
+            run, size = [], 0
+        run.append(p)
+        size += k
+    if run:
+        yield _Batch(state, run)
+
+
+def _find_win_pair(state: TrackState, batch: _Batch) -> Optional[tuple[int, int]]:
+    """A non-excluded equivalent pair outside C_right under the relation of
+    a one-row batch.  Only the classes holding two elements outside C_right
+    (the identity elements past the track) are scanned."""
+    import numpy as np
+
+    outside = ~batch.ident | (batch.px <= state.extent)
+    cand = (np.add.reduceat(outside, batch.starts) >= 2).nonzero()[0].tolist()
+    if not cand:
+        return None
     right = state.right_set
     comp_of = state.component_of()
-    for cl in state.relation_at(pos).classes:
-        out = [x for x in cl if x not in right]
-        if len(out) < 2:
-            continue
+    flat = state.relation_at(batch.rows[0])._flat
+    bounds = batch.starts.tolist() + [len(flat)]
+    for ci in cand:
+        out = [x for x in flat[bounds[ci] : bounds[ci + 1]] if x not in right]
         for ai in range(len(out)):
             for bi in range(ai + 1, len(out)):
                 x, y = out[ai], out[bi]
@@ -75,52 +139,59 @@ def _find_win_pair(state: TrackState, pos: int) -> Optional[tuple[int, int]]:
 
 def _charge(
     state: TrackState,
-    pos: int,
-    direct: AbstractSet[int],
+    batch: _Batch,
     above: int,
-    skip: AbstractSet[int] = frozenset(),
-    hold: AbstractSet[int] = frozenset(),
+    direct: np.ndarray,
+    skip: Optional[np.ndarray] = None,
+    hold: Optional[np.ndarray] = None,
 ):
     """The one charging pass, shared by Schemes 1, 2 and 3: charge each
-    kernel element of the relation at ``pos`` to one component.
+    kernel element of every row of ``batch`` to one component.
 
-    Visiting class by class, an element in ``direct`` is charged to its
-    own component; one in ``skip``, which must be disjoint from ``direct``,
-    is left alone; any other is held if its class meets ``hold``, else
-    charged as an outsider to the class's lowest identity member past
-    position ``above`` (ties go to the smaller element), else stuck.
-    Returns (counts, outsiders, held, stuck): counts[p] charges per
-    position, outsiders[p] the (element, identity partner) pairs charged
-    to p in visit order, the held elements, and the stuck elements, each
-    with its class.
+    The masks are over the batch's elements.  An element in ``direct`` is
+    charged to its own component; one in ``skip``, which must be disjoint
+    from ``direct``, is left alone; any other is held if its class meets
+    ``hold``, else charged as an outsider to the class's lowest identity
+    member past position ``above`` (ties go to the smaller element), else
+    stuck.  Returns (counts, outside, outsiders, held, stuck):
+    counts[r, p] charges row r gave position p, outside[r, p] of them from
+    outside the direct set; outsiders the arrays (row, position, element,
+    identity partner) of those, in visit order; and the indices into the
+    batch of the held and the stuck elements.
     """
-    comp_of = state.component_of()
-    counts = [0] * (state.n + 1)
-    outsiders: dict[int, list[tuple[int, int]]] = {}
-    held: list[int] = []
-    stuck: list[tuple[int, tuple[int, ...]]] = []
-    for cl in state.relation_at(pos).classes:
-        held_cl = target = None  # per-class facts, each found on first need
-        for x in cl:
-            if x in direct:
-                counts[comp_of[x]] += 1
-                continue
-            if x in skip:
-                continue
-            if held_cl is None:
-                held_cl = bool(hold) and not hold.isdisjoint(cl)
-            if held_cl:
-                held.append(x)
-                continue
-            if target is None:
-                target = state.lowest_identity_member(cl, above) or ()
-            if not target:
-                stuck.append((x, cl))
-                continue
-            p, partner = target
-            counts[p] += 1
-            outsiders.setdefault(p, []).append((x, partner))
-    return counts, outsiders, held, stuck
+    import numpy as np
+
+    n1 = state.n + 1
+    k = len(batch.rows)
+    g = len(state.position_arrays()[0])
+    # a class's target is its least key position * g + element over its
+    # identity members past above: the lowest position, then the least element
+    key = np.where(batch.ident & (batch.px > above), batch.px * g + batch.x, _NO_TARGET)
+    target = np.minimum.reduceat(key, batch.starts)[batch.cls]
+    rest = ~direct if skip is None else ~(direct | skip)
+    held = np.zeros(0, np.intp)
+    if hold is not None:
+        held_cls = np.logical_or.reduceat(hold, batch.starts)[batch.cls]
+        held = (rest & held_cls).nonzero()[0]
+        rest &= ~held_cls
+    missing = target == _NO_TARGET
+    stuck = (rest & missing).nonzero()[0]
+    out = (rest & ~missing).nonzero()[0]
+    to, partner = np.divmod(target[out], g)
+    row = batch.row[out]
+    outside = np.bincount(row * n1 + to, minlength=k * n1)
+    counts = outside + np.bincount(batch.row[direct] * n1 + batch.px[direct], minlength=k * n1)
+    outsiders = (row, to, batch.x[out], partner)
+    return counts.reshape(k, n1), outside.reshape(k, n1), outsiders, held, stuck
+
+
+def _by_position(to, xs, partners) -> dict[int, list[tuple[int, int]]]:
+    """A one-row batch's outsiders: position -> (element, identity partner)
+    pairs in visit order."""
+    out: dict[int, list[tuple[int, int]]] = {}
+    for p, x, partner in zip(to.tolist(), xs.tolist(), partners.tolist()):
+        out.setdefault(p, []).append((x, partner))
+    return out
 
 
 def _no_target(step: str, state: TrackState, pos: int, x: int) -> InternalLogicError:
@@ -129,15 +200,17 @@ def _no_target(step: str, state: TrackState, pos: int, x: int) -> InternalLogicE
     )
 
 
-def _check_caps(step: str, counts, outsiders) -> None:
-    """The caps every charging scheme obeys: each position gets at most 4
-    charges, at most 2 of them from outside the direct set."""
-    for p, cnt in enumerate(counts):
-        if cnt > 4:
-            raise InternalLogicError(step, f"position {p} got {cnt} > 4 charges")
-    for p, outs in outsiders.items():
-        if len(outs) > 2:
-            raise InternalLogicError(step, f"position {p} got {len(outs)} > 2 outside charges")
+def _check_caps(step: str, counts, outside) -> None:
+    """The caps every charging scheme obeys: each position p gets at most
+    counts[p] <= 4 charges, at most outside[p] <= 2 of them from outside
+    the direct set."""
+    import numpy as np
+
+    for cap, what, values in ((4, "charges", counts), (2, "outside charges", outside)):
+        over = (np.asarray(values) > cap).nonzero()[0]
+        if len(over):
+            p = int(over[0])
+            raise InternalLogicError(step, f"position {p} got {values[p]} > {cap} {what}")
 
 
 def build_track(state: TrackState, telemetry: Optional[Telemetry] = None):
@@ -145,31 +218,38 @@ def build_track(state: TrackState, telemetry: Optional[Telemetry] = None):
 
     Returns ("win", Matching) or ("track", state).
     """
+    import numpy as np
+
     while state.extent < state.t:
         pos = state.extent  # the relation whose kernel gets charged this step
-        win = _find_win_pair(state, pos)
+        batch = _Batch(state, [pos])
+        win = _find_win_pair(state, batch)
         if win is not None:
             m = complete_assignment(state, {pos: win})
             if telemetry:
                 telemetry.record("build_track", win="track_pair", step=pos, track_len=state.extent - 1)
             return ("win", m)
-        counts, outsiders, _, stuck = _charge(state, pos, state.bprime_set, state.extent)
-        if stuck:
-            raise _no_target("charge_scheme_1", state, pos, stuck[0][0])
-        total = sum(counts)
-        ksize = len(kernel(state.relation_at(pos)))
+        counts, outside, (_, to, xs, partners), _, stuck = _charge(
+            state, batch, state.extent, batch.px > 0
+        )
+        if len(stuck):
+            raise _no_target("charge_scheme_1", state, pos, int(batch.x[stuck[0]]))
+        total = int(counts.sum())
+        ksize = kernel_size(state.relation_at(pos))
         if total != ksize:
             raise InternalLogicError(
                 "charge_scheme_1", f"charge total {total} != kernel size {ksize}"
             )
-        _check_caps("charge_scheme_1", counts, outsiders)
-        chosen = next((p for p in state.right_positions() if counts[p] == 4), None)
-        if chosen is None:
+        _check_caps("charge_scheme_1", counts[0], outside[0])
+        four = (counts[0, state.extent + 1 :] == 4).nonzero()[0]
+        if not len(four):
             raise InternalLogicError(
                 "build_track",
                 f"no right-side component with four charges at step {pos}; {state.digest()}",
             )
-        outs = outsiders.get(chosen, [])
+        chosen = state.extent + 1 + int(four[0])
+        at = to == chosen
+        outs = list(zip(xs[at].tolist(), partners[at].tolist()))
         if len(outs) != 2:
             raise InternalLogicError(
                 "build_track", f"four-charge component has {len(outs)} outsiders, expected 2"
@@ -188,6 +268,8 @@ def charge_scheme_2(state: TrackState, telemetry: Optional[Telemetry] = None):
 
     Returns ("win", Matching) or ("ledger", ChargeLedger).
     """
+    import numpy as np
+
     n, t = state.n, state.t
     if state.extent != t:
         raise InternalLogicError("charge_scheme_2", f"track extent {state.extent} != t {t}")
@@ -196,7 +278,8 @@ def charge_scheme_2(state: TrackState, telemetry: Optional[Telemetry] = None):
     relt = state.relation_at(t)
 
     # an unexcluded t-pair outside C_right ends the step immediately
-    win = _find_win_pair(state, t)
+    batch_t = _Batch(state, [t])
+    win = _find_win_pair(state, batch_t)
     if win is not None:
         m = complete_assignment(state, {t: win})
         if telemetry:
@@ -206,38 +289,43 @@ def charge_scheme_2(state: TrackState, telemetry: Optional[Telemetry] = None):
     # 1-charging; an element with no target is unreachable after
     # try_direct_pair found nothing: then each class holds at most one
     # element outside B, so x's class holds a member of B, at position >= 2
-    sigma, outsiders, _, stuck = _charge(state, 1, b, 1)
-    if stuck:
-        raise _no_target("charge_scheme_2", state, 1, stuck[0][0])
+    batch_1 = _Batch(state, [1])
+    counts, _, (_, *outsiders), _, stuck = _charge(state, batch_1, 1, batch_1.ident)
+    if len(stuck):
+        raise _no_target("charge_scheme_2", state, 1, int(batch_1.x[stuck[0]]))
+    sigma = counts[0].tolist()
     one_partner = {x: x for x in kernel(state.relation_at(1)) & b}
     S: dict[int, list[int]] = {}
-    for p, outs in outsiders.items():
+    for p, outs in _by_position(*outsiders).items():
         S[p] = [x for x, _ in outs]
         one_partner.update(outs)
 
     # t-charging, past the cross pairs that are t-equivalent in their component
     T: dict[int, list[int]] = {}
     t_partner: dict[int, int] = {}
-    special: set[int] = set()
+    special = np.zeros(n + 1, bool)  # positions whose cross pair is skipped
     for j in state.left_positions():
         comp = state.comps[j]
         if comp.d in relt.class_of(comp.c):
             T[j] = [comp.c, comp.d]
             t_partner[comp.c] = comp.d
             t_partner[comp.d] = comp.c
-            special.update((comp.c, comp.d))
-    tau, outsiders, _, stuck = _charge(state, t, b, t, skip=special)
+            special[j] = True
+    counts, _, (_, *outsiders), _, stuck = _charge(
+        state, batch_t, t, batch_t.ident, skip=~batch_t.ident & special[batch_t.px]
+    )
+    tau = counts[0].tolist()
     for j in T:
         tau[j] += 2
     t_partner.update((z, z) for z in kernel(relt) & b)
-    for p, outs in outsiders.items():
+    for p, outs in _by_position(*outsiders).items():
         T[p] = [z for z, _ in outs]
         t_partner.update(outs)
-    for z, cl in stuck:
+    for z in batch_t.x[stuck].tolist():
         # z is c_j or d_j and t-equivalent within its own component
         # (anything else would have been a win above)
         pz = comp_of.get(z)
-        partner = next((y for y in cl if y != z and comp_of.get(y) == pz), None)
+        partner = next((y for y in relt.class_of(z) if y != z and comp_of.get(y) == pz), None)
         if pz is None or pz > t or partner is None:
             raise _no_target("charge_scheme_2", state, t, z)
         tau[pz] += 1
@@ -282,8 +370,8 @@ def _validate_ledger(state: TrackState, ledger: ChargeLedger) -> None:
     seen_s: set[int] = set()
     seen_t: set[int] = set()
     membership: dict[int, int] = {}
-    _check_caps("ledger", ledger.sigma, ledger.S)
-    _check_caps("ledger", ledger.tau, ledger.T)
+    _check_caps("ledger", ledger.sigma, [len(ledger.S.get(p, ())) for p in range(n + 1)])
+    _check_caps("ledger", ledger.tau, [len(ledger.T.get(p, ())) for p in range(n + 1)])
     for p in range(2, n + 1):
         s, tt = ledger.S.get(p, ()), ledger.T.get(p, ())
         for x in s:

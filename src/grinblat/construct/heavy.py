@@ -1,23 +1,33 @@
 """Per-heavy-component charging (Scheme 3) and its win patterns.
 
-For a heavy right-side position i we first look for two ways to finish
-outright: an i-equivalent pair avoiding both B and S_i, or an untainted
-left component whose identity element is i-equivalent to something fresh.
-If neither applies, K_i is charged to the right-side components by the
-shared charging loop, ``charging._charge``: B' direct, targets past t,
-U_i skipped, and a class that meets S_i or a tainted identity pair held,
-so that a small bounded set of elements stays uncharged.
+For a heavy right-side position i there are two ways to finish outright:
+an i-equivalent pair avoiding both B and S_i, or an untainted left
+component whose identity element is i-equivalent to something fresh.
+Otherwise K_i is charged to the right-side components by the shared
+charging pass, ``charging._charge``: B' - U_i direct, targets past t, U_i
+skipped, and a class that meets S_i or a tainted identity pair held, so
+that a small bounded set of elements stays uncharged.
+
+``charge_scheme_3`` is one call per extension step.  It sends all heavy
+rows through the pass in batches, S and T membership read from arrays of
+each element's owner (the S sets are pairwise disjoint, and so are the T
+sets).  Array tests pick the rows that have a class that could give a win;
+only those go to the Python win checks, in heavy order, with each row's
+checks.  The tables stay arrays (``ChargeTables``).
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from ..core import kernel
+from ..core import kernel, kernel_size
 from ..errors import CompletionImpossible, InternalLogicError
-from .charging import _charge, _check_caps, _no_target
+from .charging import _batches, _charge, _check_caps, _no_target
 from .completion import complete_assignment
-from .state import ChargeLedger, Telemetry, TrackState
+from .state import ChargeLedger, ChargeTables, Telemetry, TrackState
+
+if TYPE_CHECKING:  # numpy is imported where it is used, as in state.position_arrays
+    import numpy as np
 
 
 def tainted_left(state: TrackState, ledger: ChargeLedger, i: int) -> set[int]:
@@ -92,49 +102,110 @@ def _try_win_untainted_left(
     return None
 
 
+def _owners(size: int, sets: dict[int, tuple[int, ...]]) -> np.ndarray:
+    """Each element's position in the pairwise disjoint ``sets``, else 0."""
+    import numpy as np
+
+    owner = np.zeros(size, np.int32)
+    for p, elems in sets.items():
+        owner[list(elems)] = p
+    return owner
+
+
 def charge_scheme_3(
     state: TrackState,
     ledger: ChargeLedger,
-    i: int,
+    heavy: list[int],
     telemetry: Optional[Telemetry] = None,
 ):
-    """Charge K_i to the right-side components, or finish with a win.
+    """Charge the kernel of every heavy position to the right-side
+    components, or finish with a win.
 
-    Returns ("win", Matching) or ("table", {pos: (count, outsiders)}) where
-    outsiders holds (element, identity partner) pairs charged from outside B'.
+    For a heavy position i, B' - U_i is charged direct, U_i is skipped and a
+    class that meets S_i or a tainted identity pair is held; targets lie
+    past t.  The rows go through the charging pass in batches.  Only a row
+    with a class that could give a win (two elements outside B and S_i, or
+    an untainted left identity element and an element outside B' and T_i)
+    goes to the win checks, and those and the row's checks run in heavy
+    order, as one row at a time would.
+
+    Returns ("win", Matching) or ("tables", ChargeTables).
     """
-    m = _try_win_fresh_pair(state, ledger, i, telemetry)
-    if m is not None:
-        return ("win", m)
-    tainted = tainted_left(state, ledger, i)
-    m = _try_win_untainted_left(state, ledger, i, tainted, telemetry)
-    if m is not None:
-        return ("win", m)
+    import numpy as np
 
-    ui = set(ledger.U(i))
-    hold = set(ledger.S.get(i, ()))
-    for j in tainted:
-        comp = state.comps[j]
-        hold.update((comp.a, comp.b))
-    # T_i may hold cross pair elements, which lie in B' but are skipped
-    counts, outsiders, held, stuck = _charge(
-        state, i, state.bprime_set - ui, state.t, skip=ui, hold=hold
-    )
-    if stuck:
-        raise _no_target("charge_scheme_3", state, i, stuck[0][0])
-    if len(held) > 6:
-        raise InternalLogicError(
-            "charge_scheme_3", f"{len(held)} uncharged elements for position {i}, cap is 6"
+    n1, extent = state.n + 1, state.extent
+    pos, _ = state.position_arrays()
+    s_owner, t_owner = _owners(len(pos), ledger.S), _owners(len(pos), ledger.T)
+    counts, outsiders, win_checked, first = [], [], 0, 0  # first: the batch's first row
+    for batch in _batches(state, heavy):
+        k, row, x, px = len(batch.rows), batch.row, batch.x, batch.px
+        own = np.array(batch.rows)[row]  # each element's heavy position i
+        in_s, in_t = s_owner[x] == own, t_owner[x] == own
+        skip = in_s | in_t  # U_i
+        # tainted[r, j]: C_j meets T_i; only left positions j are read
+        tainted = np.zeros((k, n1), bool)
+        for r, i in enumerate(batch.rows):
+            tainted[r, pos[list(ledger.T.get(i, ()))]] = True
+        left = batch.ident & (px <= extent)
+        tainted_id = left & tainted[row, px]
+        row_counts, outside, outs, held, stuck = _charge(
+            state, batch, state.t, (px > 0) & ~skip, skip, in_s | tainted_id
         )
-    kern = kernel(state.relation_at(i))
-    covered = sum(counts) + len(held) + len(ui & kern)
-    if covered != len(kern):
-        raise InternalLogicError(
-            "charge_scheme_3", f"charge accounting off for position {i}: {covered}"
+
+        # rows with a class that could give a win, and rows failing a check
+        starts = batch.starts
+        cls_row = row[starts]
+        fresh = np.bincount(
+            cls_row[np.add.reduceat(~batch.ident & ~in_s, starts) >= 2], minlength=k
         )
-    _check_caps("charge_scheme_3", counts, outsiders)
-    table = {p: (cnt, tuple(outsiders.get(p, ()))) for p, cnt in enumerate(counts) if cnt}
-    return ("table", table)
+        untainted = np.bincount(cls_row[
+            np.logical_or.reduceat(left & ~tainted_id, starts)
+            & np.logical_or.reduceat((px == 0) & ~in_t, starts)
+        ], minlength=k)
+        stuck_rows = row[stuck]
+        n_held = np.bincount(row[held], minlength=k)
+        covered = row_counts.sum(axis=1) + n_held + np.bincount(row[skip], minlength=k)
+        bad = (
+            (np.bincount(stuck_rows, minlength=k) > 0) | (n_held > 6)
+            | (covered != np.bincount(row, minlength=k))
+            | (row_counts > 4).any(axis=1) | (outside > 2).any(axis=1)
+        )
+        for r in np.flatnonzero((fresh > 0) | (untainted > 0) | bad).tolist():
+            i = batch.rows[r]
+            win_checked += bool(fresh[r] or untainted[r])
+            m = _try_win_fresh_pair(state, ledger, i, telemetry) if fresh[r] else None
+            if m is None and untainted[r]:
+                m = _try_win_untainted_left(
+                    state, ledger, i, tainted_left(state, ledger, i), telemetry
+                )
+            if m is not None:
+                return ("win", m)
+            if not bad[r]:
+                continue
+            # the checks one row at a time made, in their order
+            xs = x[stuck[stuck_rows == r]]
+            if len(xs):
+                raise _no_target("charge_scheme_3", state, i, int(xs[0]))
+            if n_held[r] > 6:
+                raise InternalLogicError(
+                    "charge_scheme_3", f"{n_held[r]} uncharged elements for position {i}, cap is 6"
+                )
+            if covered[r] != kernel_size(state.relation_at(i)):
+                raise InternalLogicError(
+                    "charge_scheme_3", f"charge accounting off for position {i}: {covered[r]}"
+                )
+            _check_caps("charge_scheme_3", row_counts[r], outside[r])
+        counts.append(row_counts)
+        order = np.argsort(outs[0] * n1 + outs[1], kind="stable")  # runs keep visit order
+        outsiders.append(np.column_stack((outs[0] + first, *outs[1:]))[order])
+        first += k
+    if telemetry:
+        telemetry.record("charge_scheme_3", heavy=len(heavy), win_checked=win_checked)
+    return ("tables", ChargeTables(
+        tuple(heavy),
+        np.concatenate(counts) if counts else np.zeros((0, n1), np.int64),
+        np.concatenate(outsiders) if outsiders else np.zeros((0, 4), np.int64),
+    ))
 
 
 def pick_heavy_pair_elements(

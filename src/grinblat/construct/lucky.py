@@ -2,8 +2,10 @@
 
 After every heavy index has charged its kernel, some right-side component
 received four i-charges from many different heavy i.  That component is the
-lucky one; the pairs of outside elements it received are the witness sets
-W_k.  A bipartiteness argument thins the candidate indices, two compatible
+lucky one: ``find_lucky`` reads Scheme 3's array tables, scores each
+position by the number of rows that give it four charges and takes the
+first maximum.  The pairs of outside elements it received are the witness
+sets W_k.  A bipartiteness argument thins the candidate indices, two compatible
 indices are selected, and the matching is closed by rerouting through the
 witness elements.
 """
@@ -18,43 +20,45 @@ from ..errors import CompletionImpossible, InternalLogicError
 from .charging import direct_pair
 from .completion import complete_assignment
 from .heavy import pick_heavy_pair_elements
-from .state import ChargeLedger, LuckyData, Telemetry, TrackState
-
-ChargeTable = dict[int, tuple[int, tuple[tuple[int, int], ...]]]
-
+from .state import ChargeLedger, ChargeTables, LuckyData, Telemetry, TrackState
 
 def find_lucky(
     state: TrackState,
     ledger: ChargeLedger,
-    tables: dict[int, ChargeTable],
+    tables: ChargeTables,
     c: int,
 ) -> LuckyData:
-    """Pick the right-side component with the most four-charge heavy indices."""
-    heavy = sorted(tables)
-    best_pos, best = None, -1
-    for p in state.right_positions():
-        score = sum(1 for i in heavy if tables[i].get(p, (0, ()))[0] == 4)
-        if score > best:
-            best_pos, best = p, score
-    if best_pos is None:
+    """Pick the right-side component with the most four-charge heavy
+    indices: a position's score is the number of rows of the Scheme 3
+    tables that give it four charges, and the first maximum wins."""
+    import numpy as np  # where it is used, as in state.position_arrays
+
+    n1, first = state.n + 1, state.extent + 1
+    four = tables.counts[:, first:] == 4
+    if not four.shape[1]:
         raise InternalLogicError("find_lucky", "no right-side positions")
-    full = [i for i in heavy if tables[i].get(best_pos, (0, ()))[0] == 4]
-    if 4 * len(full) < c - 10:
+    best_pos = first + int(np.argmax(four.sum(axis=0)))
+    rows = np.flatnonzero(four[:, best_pos - first])
+    if 4 * len(rows) < c - 10:
         raise InternalLogicError(
             "find_lucky",
-            f"lucky component at {best_pos} has {len(full)} four-charge indices < (c-10)/4",
+            f"lucky component at {best_pos} has {len(rows)} four-charge indices < (c-10)/4",
         )
-    limit = max(0, math.ceil((c - 10) / 4))
-    hprime = tuple(full[:limit])
+    rows = rows[: max(0, math.ceil((c - 10) / 4))]
+    hprime = tuple(tables.heavy[r] for r in rows.tolist())
+    # each kept row's outsiders at best_pos: a run of the sorted table
+    out = tables.outsiders
+    slots = out[:, 0] * n1 + out[:, 1]
+    lo = np.searchsorted(slots, rows * n1 + best_pos).tolist()
+    hi = np.searchsorted(slots, rows * n1 + best_pos, side="right").tolist()
     W: dict[int, tuple[int, int]] = {}
     bprime = state.bprime_set
-    for k in hprime:
-        outs = tables[k][best_pos][1]
-        if len(outs) != 2:
+    for k, a, b in zip(hprime, lo, hi):
+        if b - a != 2:
             raise InternalLogicError(
                 "find_lucky", f"four-charge component lacks two outside {k}-charges"
             )
-        w = (outs[0][0], outs[1][0])
+        w = (int(out[a, 2]), int(out[a + 1, 2]))
         if set(w) & bprime:
             raise InternalLogicError("find_lucky", f"witness set {w} meets B'")
         if set(w) & set(ledger.U(k)):

@@ -136,16 +136,11 @@ def extend_matching(
         return _finish(state, m)
 
     heavy = heavy_indices(state, ledger, c)
-    tables = {}
-    for i in heavy:
-        kind, payload = charge_scheme_3(state, ledger, i, telemetry)
-        if kind == "win":
-            return _finish(state, payload)
-        tables[i] = payload
-    if telemetry:
-        telemetry.record("charge_scheme_3", heavy=len(heavy))
+    kind, payload = charge_scheme_3(state, ledger, heavy, telemetry)
+    if kind == "win":
+        return _finish(state, payload)
 
-    lucky = find_lucky(state, ledger, tables, c)
+    lucky = find_lucky(state, ledger, payload, c)
     lucky = select_nonconflicting(state, lucky, c)
     compat = find_compatible_pair(state, ledger, lucky, c)
     y = exclusion_set(state, ledger, lucky)

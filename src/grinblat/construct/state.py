@@ -5,14 +5,22 @@ Positions vs. relations: the argument freely renames relation indices
 Internal *positions* run 1..n; position 1 is the relation being added,
 positions 2..n carry the components of the existing matching.  ``perm[p]``
 is the index of the relation (in the instance) sitting at position p.
+
+Besides its sets, the track state keeps two arrays over the ground set for
+the array charging pass: each element's component position and whether it
+is an identity element.  ``ChargeTables`` holds Scheme 3's charges as
+arrays, one row per heavy index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..core import Instance, Partition
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass
@@ -49,12 +57,12 @@ class TrackState:
 
     Left-side positions are 2..extent; an extent of 1 means no track yet.
 
-    The derived sets ``b_set``, ``bprime_set``, ``right_set`` and the map
-    ``component_of()`` are owned by the state and must not be mutated by
-    callers.  B is fixed at construction; the other three are built on
-    first use and then kept current by ``swap_positions`` and
-    ``grow_track``, the only two ways the state changes.  The updates and
-    ``lowest_identity_member`` rely on the state's elements being pairwise
+    The derived sets ``b_set``, ``bprime_set``, ``right_set``, the map
+    ``component_of()`` and the arrays of ``position_arrays()`` are owned by
+    the state and must not be mutated by callers.  B is fixed at
+    construction; the others are built on first use and then kept current
+    by ``swap_positions`` and ``grow_track``, the only two ways the state
+    changes.  The updates rely on the state's elements being pairwise
     distinct.
     """
 
@@ -71,6 +79,8 @@ class TrackState:
         self._bprime: Optional[set[int]] = None
         self._right: Optional[set[int]] = None
         self._comp_of: Optional[dict[int, int]] = None
+        self._pos: Optional[np.ndarray] = None
+        self._ident: Optional[np.ndarray] = None
 
     def relation_at(self, pos: int) -> Partition:
         return self.inst.relations[self.perm[pos]]
@@ -113,18 +123,27 @@ class TrackState:
             self._comp_of = out
         return self._comp_of
 
-    def lowest_identity_member(self, cl: tuple[int, ...], above: int) -> Optional[tuple[int, int]]:
-        """(position, element) of the lowest identity element (member of B)
-        in class ``cl`` whose component sits past position ``above``; ties in
-        position go to the smaller element.  None if there is none."""
-        comp_of = self.component_of()
-        best = None
-        for y in cl:  # classes are sorted, so the first hit per position is its least
-            if y in self.b_set:
-                p = comp_of[y]
-                if p > above and (best is None or p < best[0]):
-                    best = (p, y)
-        return best
+    def position_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(pos, ident) over the ground set: the int32 position of each
+        element's component (0 for an untracked element) and whether the
+        element is an identity element, a member of B.  While cross pairs
+        sit only on left components, as the solver keeps them, B' is
+        pos > 0.  The arrays are sized from the instance on each use, so a state
+        whose instance is replaced by one with a larger ground set gets
+        them rebuilt."""
+        # numpy is imported where it is used, not at module level: imported
+        # ahead of the generator, it raised the peak memory of `import
+        # grinblat` by about 1 MB
+        import numpy as np
+
+        if self._pos is None or len(self._pos) < self.inst.ground_size:
+            comp_of = self.component_of()
+            size = max(self.inst.ground_size, max(comp_of, default=-1) + 1)
+            self._pos = np.zeros(size, np.int32)
+            self._pos[np.fromiter(comp_of, np.intp, len(comp_of))] = list(comp_of.values())
+            self._ident = np.zeros(size, bool)
+            self._ident[np.fromiter(self.b_set, np.intp, len(self.b_set))] = True
+        return self._pos, self._ident
 
     def swap_positions(self, p: int, q: int) -> None:
         """Exchange the components (and relation bindings) at two positions."""
@@ -139,6 +158,11 @@ class TrackState:
                 self._comp_of[x] = q
             for x in cq.elements:
                 self._comp_of[x] = p
+        if self._pos is not None:
+            for x in cp.elements:
+                self._pos[x] = q
+            for x in cq.elements:
+                self._pos[x] = p
         if (p <= self.extent) != (q <= self.extent):
             # a swap across the track boundary (the solver makes none) drops
             # the two side-dependent sets; they are rebuilt on next use
@@ -153,6 +177,8 @@ class TrackState:
         comp.c, comp.d = c, d
         if self._comp_of is not None:
             self._comp_of[c] = self._comp_of[d] = self.extent
+        if self._pos is not None:
+            self._pos[c] = self._pos[d] = self.extent
         if self._right is not None:
             self._right.difference_update((comp.a, comp.b))
         if self._bprime is not None:
@@ -195,6 +221,21 @@ class ChargeLedger:
 
     def heavy_right(self) -> list[int]:
         return [p for p in range(self.t + 1, self.n + 1) if self.charges(p) >= 7]
+
+
+class ChargeTables:
+    """Scheme 3's charges, one row per heavy index.
+
+    ``counts[r, p]`` is how many charges the kernel of the relation at
+    position ``heavy[r]`` gives position p.  Each row of ``outsiders`` is
+    (row, position, element, identity partner) for an element charged from
+    outside the direct set; the rows are sorted by row, then position, then
+    the order the pass visits the elements in.  (A plain class: a
+    dataclass costs more at import than the whole class body.)
+    """
+
+    def __init__(self, heavy: tuple[int, ...], counts: np.ndarray, outsiders: np.ndarray):
+        self.heavy, self.counts, self.outsiders = heavy, counts, outsiders
 
 
 @dataclass

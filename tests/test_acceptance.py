@@ -15,6 +15,7 @@ import pytest
 
 import fixtures
 from brute import brute_has_matching
+from charging_ref import scheme_3_table
 from grinblat.construct import (
     Telemetry,
     build_track,
@@ -182,12 +183,10 @@ def _deep_pipeline_artifacts():
     assert kind == "ledger"
     assert try_five_heavy_left_win(state, ledger) is None
     heavy = heavy_indices(state, ledger, 32)
-    tables = {}
-    for i in heavy:
-        kind, payload = charge_scheme_3(state, ledger, i)
-        assert kind == "table"
-        tables[i] = payload
-    lucky = find_lucky(state, ledger, tables, 32)
+    kind, arrays = charge_scheme_3(state, ledger, heavy)
+    assert kind == "tables"
+    lucky = find_lucky(state, ledger, arrays, 32)
+    tables = {i: scheme_3_table(arrays, i) for i in heavy}
     lucky = select_nonconflicting(state, lucky, 32)
     compat = find_compatible_pair(state, ledger, lucky, 32)
     return inst, state, ledger, heavy, tables, lucky, compat

@@ -3,15 +3,18 @@ lemma wins, lucky analysis, and the orchestrated pipeline."""
 
 import functools
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 import fixtures
+from charging_ref import charge, scheme_3_table, tables_from_dicts
 from completion_ref import complete_assignment_dfs
 from fixtures import FixtureSpec, gen_fixture_ledger
 from grinblat.construct import (
     ChargeLedger,
+    Component,
     LuckyData,
     Telemetry,
     TrackState,
@@ -31,7 +34,8 @@ from grinblat.construct import (
     try_direct_pair,
     try_five_heavy_left_win,
 )
-from grinblat.construct.charging import _charge, _check_caps
+from grinblat.construct import charging
+from grinblat.construct.charging import _batches, _charge, _check_caps
 from grinblat.construct.lucky import _conflicting, exclusion_set
 from grinblat.construct.pipeline import _initial_state
 from grinblat.core import Instance, Matching, Partition, kernel, verify_matching
@@ -256,6 +260,10 @@ def _assert_sets_current(state):
     assert state.bprime_set == b | cross
     assert state.right_set == right
     assert state.component_of() == comp_of
+    pos, ident = state.position_arrays()
+    assert len(pos) >= state.inst.ground_size
+    assert {x: int(p) for x, p in enumerate(pos) if p} == comp_of
+    assert set(np.flatnonzero(ident).tolist()) == b
 
 
 class TestTrackStateSets:
@@ -276,16 +284,6 @@ class TestTrackStateSets:
         kind, state = build_track(state)
         assert kind == "track"
         assert len(steps) == state.t - 1
-        comp_of = state.component_of()
-        for cl in state.relation_at(1).classes:
-            members = [
-                (comp_of[y], y)
-                for y in cl
-                if comp_of.get(y, 0) > state.extent
-                and y in (state.comps[comp_of[y]].a, state.comps[comp_of[y]].b)
-            ]
-            expected = min(members) if members else None
-            assert state.lowest_identity_member(cl, state.extent) == expected
 
     def test_swaps_keep_sets_current(self):
         state, _ = base_state()
@@ -297,7 +295,62 @@ class TestTrackStateSets:
             _assert_sets_current(state)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_position_arrays_follow_swaps_and_growth(data):
+    # after any sequence of swaps and track growth, and an instance swapped
+    # for one with a larger ground set, the arrays equal a rebuild from comps
+    n = data.draw(st.integers(3, 12))
+    comps = {p: Component(pos=p, a=2 * p, b=2 * p + 1) for p in range(2, n + 1)}
+    cross = iter(range(2 * n + 2, 4 * n))
+    state = TrackState(Instance(4 * n, [Partition([])] * n), [-1, *range(n)], comps)
+    state.position_arrays()
+    state.component_of()
+    for _ in range(data.draw(st.integers(0, 12))):
+        op = data.draw(st.sampled_from(["swap", "grow", "ground"]))
+        # the track grows by a right-side component with no cross pair yet
+        bare = [p for p in state.right_positions() if not state.comps[p].is_left]
+        if op == "grow" and bare:
+            state.grow_track(data.draw(st.sampled_from(bare)), next(cross), next(cross))
+        elif op == "ground":
+            state.inst = Instance(state.inst.ground_size + data.draw(st.integers(1, 5)), state.inst.relations)
+        else:
+            state.swap_positions(data.draw(st.integers(2, n)), data.draw(st.integers(2, n)))
+    _assert_sets_current(state)
+
+
 # ------------------------------------------------------------- charge schemes
+
+
+def _array_charge(state, rows, above, direct, skip=None, hold=None):
+    """The array pass over ``rows``, in batches of charging.BLOCK_ELEMENTS,
+    with per-row sets (indexed like rows; skip and hold optional), and each
+    row's result in the reference's form: (counts, outsiders, held, stuck)."""
+    results = []
+    for batch in _batches(state, rows):
+        first = len(results)
+        elems = list(zip(batch.x.tolist(), batch.row.tolist()))
+
+        def mask(sets):
+            return np.array([x in sets[first + r] for x, r in elems], bool)
+
+        counts, _, outs, held, stuck = _charge(
+            state, batch, above, mask(direct),
+            None if skip is None else mask(skip), None if hold is None else mask(hold),
+        )
+        for r, pos in enumerate(batch.rows):
+            outsiders = {}
+            for row, p, x, partner in zip(*(a.tolist() for a in outs)):
+                if row == r:
+                    outsiders.setdefault(p, []).append((x, partner))
+            rel = state.relation_at(pos)
+            results.append((
+                counts[r].tolist(),
+                outsiders,
+                [elems[j][0] for j in held.tolist() if elems[j][1] == r],
+                [(elems[j][0], rel.class_of(elems[j][0])) for j in stuck.tolist() if elems[j][1] == r],
+            ))
+    return results
 
 
 class TestChargingPass:
@@ -318,8 +371,8 @@ class TestChargingPass:
 
     def test_each_element_lands_in_its_outcome(self):
         state, comps, cl = self._state()
-        counts, outsiders, held, stuck = _charge(
-            state, 10, state.bprime_set, 7, skip={cl(16)[1]}, hold={cl(12)[2]}
+        [(counts, outsiders, held, stuck)] = _array_charge(
+            state, [10], 7, [state.bprime_set], skip=[{cl(16)[1]}], hold=[{cl(12)[2]}]
         )
         # direct: every identity element, a_16 too (only its partner is skipped)
         expected = {3: 1, 10: 2, 12: 1, 15: 2, 16: 1, 20: 1, 25: 3}
@@ -332,7 +385,7 @@ class TestChargingPass:
 
     def test_above_moves_the_target(self):
         state, comps, cl = self._state()
-        _, outsiders, _, stuck = _charge(state, 10, state.bprime_set, 15)
+        [(_, outsiders, _, stuck)] = _array_charge(state, [10], 15, [state.bprime_set])
         assert outsiders[20] == [(cl(15)[2], comps[20].a)]
         assert 15 not in outsiders
         # nothing held: the class of a_12 is stuck as well now
@@ -343,18 +396,113 @@ class TestChargingPass:
         # member past t to be charged to
         state, ledger = base_state(extra={8: [[("c", 3), ("x", "z")]]})
         with pytest.raises(InternalLogicError) as err:
-            charge_scheme_3(state, ledger, 8)
+            charge_scheme_3(state, ledger, [8])
         assert err.value.step == "charge_scheme_3"
         assert "no charge target" in err.value.detail
 
-    @pytest.mark.parametrize("counts, outsiders", [
-        ([0, 0, 5], {}),
-        ([0, 0, 3], {2: [(7, 0), (8, 0), (9, 1)]}),
+    @pytest.mark.parametrize("counts, outside", [
+        ([0, 0, 5], [0, 0, 0]),
+        ([0, 0, 3], [0, 0, 3]),
     ], ids=["five-charges", "three-outsiders"])
-    def test_caps_raise_with_the_scheme_step(self, counts, outsiders):
+    def test_caps_raise_with_the_scheme_step(self, counts, outside):
         with pytest.raises(InternalLogicError) as err:
-            _check_caps("charge_scheme_1", counts, outsiders)
+            _check_caps("charge_scheme_1", counts, outside)
         assert err.value.step == "charge_scheme_1"
+
+
+@st.composite
+def charging_cases(draw):
+    """A small track state and a call of the charging pass on it: several
+    rows, each with its direct set (B or B'), skip and hold sets, one
+    ``above`` and a block budget that may split the rows across batches.
+    Element labels are shuffled, so either identity element of a
+    component may be the smaller, and classes hold 2-5 elements."""
+    n = draw(st.integers(4, 12))
+    extent = draw(st.integers(1, n))
+    fresh = draw(st.integers(0, 8))
+    size = 2 * (n - 1) + 2 * (extent - 1) + fresh
+    labels = draw(st.permutations(range(size)))
+    it = iter(labels)
+    comps = {}
+    for p in range(2, n + 1):
+        a, b = next(it), next(it)
+        comps[p] = (Component(pos=p, a=a, b=b, c=next(it), d=next(it)) if p <= extent
+                    else Component(pos=p, a=a, b=b))
+    rows = draw(st.lists(st.integers(1, n), min_size=1, max_size=4, unique=True))
+    relations = [Partition([]) for _ in range(n)]
+    for p in rows:
+        elems = draw(st.lists(st.sampled_from(labels), min_size=2, max_size=min(size, 16), unique=True))
+        classes, i = [], 0
+        while len(elems) - i >= 2:
+            k = draw(st.integers(2, 5))
+            if len(elems) - i - k < 2:
+                k = len(elems) - i
+            classes.append(elems[i : i + k])
+            i += k
+        relations[p - 1] = Partition(classes)
+    state = TrackState(Instance(size, relations), [-1, *range(n)], comps, extent)
+    direct, skip, hold = [], [], []
+    for p in rows:
+        kern = sorted(kernel(state.relation_at(p)))
+        base = state.bprime_set if draw(st.booleans()) else state.b_set
+        sk = set(draw(st.lists(st.sampled_from(kern), max_size=3)))
+        skip.append(sk)
+        direct.append(set(base) - sk)
+        hold.append(set(draw(st.lists(st.sampled_from(kern), max_size=2))))
+    above = draw(st.integers(0, n))
+    block = draw(st.integers(1, 40))
+    return state, rows, above, direct, skip, hold, block
+
+
+def _batch_count(case):
+    state, rows, *_, block = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(charging, "BLOCK_ELEMENTS", block)
+        return len(list(_batches(state, rows)))
+
+
+def _run_both(case):
+    state, rows, above, direct, skip, hold, block = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(charging, "BLOCK_ELEMENTS", block)
+        got = _array_charge(state, rows, above, direct, skip, hold)
+    want = [charge(state, p, d, above, s, h) for p, d, s, h in zip(rows, direct, skip, hold)]
+    return got, want
+
+
+@settings(max_examples=300, deadline=None)
+@given(charging_cases())
+def test_array_pass_matches_reference(case):
+    got, want = _run_both(case)
+    # the same counts, outsiders in the same order, held and stuck elements
+    assert got == want
+
+
+def _tie(case):
+    """A class charged to an identity member that ties in position with
+    another member of the class past ``above``."""
+    state, rows, above, direct, skip, hold, _ = case
+    comp_of = state.component_of()
+    _, want = _run_both(case)
+    for p, (_, outsiders, _, _) in zip(rows, want):
+        for cl in state.relation_at(p).classes:
+            ids = [comp_of[y] for y in cl if y in state.b_set and comp_of[y] > above]
+            if ids and ids.count(min(ids)) == 2 and any(x in cl for outs in outsiders.values() for x, _ in outs):
+                return True
+    return False
+
+
+@pytest.mark.parametrize("reached", [
+    _tie,
+    lambda case: any(r[2] for r in _run_both(case)[1]),
+    lambda case: any(r[3] for r in _run_both(case)[1]),
+    lambda case: any({1, 3} & set(r[0]) for r in _run_both(case)[1]),
+    lambda case: _batch_count(case) > 1,
+], ids=["identity-tie", "held-class", "stuck-element", "one-or-three-charges", "rows-split-across-batches"])
+def test_charging_draws_reach(reached):
+    # the differential test's draws reach what no planted step produces
+    find(charging_cases(), reached,
+         settings=settings(max_examples=2000, database=None, phases=[Phase.generate]))
 
 
 class TestChargeScheme2:
@@ -464,8 +612,9 @@ class TestChargeScheme3:
         extra = {}
         fixtures.heavy_right(extra, 8, "h")
         state, ledger = base_state(extra=extra)
-        kind, table = charge_scheme_3(state, ledger, 8)
-        assert kind == "table"
+        kind, tables = charge_scheme_3(state, ledger, [8])
+        assert kind == "tables"
+        table = scheme_3_table(tables, 8)
         # own identity pair charged to position 8
         assert table[8][0] >= 2
         for pos, (cnt, outs) in table.items():
@@ -483,14 +632,41 @@ class TestChargeScheme3:
         })
         assert ledger.S[8] == (state.comps[3].c,)
         assert ledger.T[8] == (state.comps[4].c,)
-        kind, table = charge_scheme_3(state, ledger, 8)
-        assert kind == "table"
-        assert table == {4: (1, ()), 8: (2, ()), 20: (1, ())}
+        kind, tables = charge_scheme_3(state, ledger, [8])
+        assert kind == "tables"
+        assert scheme_3_table(tables, 8) == {4: (1, ()), 8: (2, ()), 20: (1, ())}
+
+    def test_table_skips_a_t_element_in_b_prime(self):
+        # c_4 ~t a_8 puts c_4, which lies in B', in T_8: relation 8 skips it
+        # in its class {a_20, c_4} rather than charge it to component 4;
+        # relation 9, in the same call, charges only its identity pair
+        state, ledger = base_state(extra={
+            6: [[("c", 4), ("a", 8)]],
+            8: [[("a", 20), ("c", 4)]],
+        })
+        assert ledger.T[8] == (state.comps[4].c,)
+        kind, tables = charge_scheme_3(state, ledger, [8, 9])
+        assert kind == "tables"
+        assert scheme_3_table(tables, 8) == {8: (2, ()), 20: (1, ())}
+        assert scheme_3_table(tables, 9) == {9: (2, ())}
+
+    def test_win_checks_run_only_on_candidate_rows(self):
+        # relation 8's class {a_3, a_20, z} holds an untainted left identity
+        # element and z, outside B' and T_8: the row goes to the win checks,
+        # which find nothing with T_8 empty, and z is charged to a_20
+        state, ledger = base_state(extra={8: [[("a", 3), ("a", 20), ("x", "z")]]})
+        assert 8 not in ledger.T
+        tel = Telemetry()
+        kind, tables = charge_scheme_3(state, ledger, [8, 9], tel)
+        assert kind == "tables"
+        assert tel.events == [{"phase": "charge_scheme_3", "heavy": 2, "win_checked": 1}]
+        z = state.relation_at(8).class_of(state.comps[20].a)[-1]
+        assert scheme_3_table(tables, 8) == {3: (1, ()), 8: (2, ()), 20: (2, ((z, state.comps[20].a),))}
 
     def test_win_fresh_pair(self):
         state, ledger = fixtures.scheme3_win_fresh_pair()
         tel = Telemetry()
-        kind, m = charge_scheme_3(state, ledger, 8, tel)
+        kind, m = charge_scheme_3(state, ledger, [8], tel)
         assert kind == "win" and tel.win_branch == "fresh_pair"
         assert _verify_positional(state, m)
         # relation 1 used an S_8 element with its identity partner
@@ -499,7 +675,7 @@ class TestChargeScheme3:
     def test_win_untainted_left(self):
         state, ledger = fixtures.scheme3_win_untainted_left()
         tel = Telemetry()
-        kind, m = charge_scheme_3(state, ledger, 8, tel)
+        kind, m = charge_scheme_3(state, ledger, [8], tel)
         assert kind == "win" and tel.win_branch == "untainted_left"
         assert _verify_positional(state, m)
         # relation t used a T_8 element
@@ -517,8 +693,9 @@ class TestChargeScheme3:
         idx = state.perm[8]
         rels[idx] = Partition(list(rels[idx].classes) + [(s_elem, g)])
         state.inst = Instance(g + 1, rels)
-        kind, table = charge_scheme_3(state, ledger, 8)
-        assert kind == "table"
+        kind, tables = charge_scheme_3(state, ledger, [8])
+        assert kind == "tables"
+        table = scheme_3_table(tables, 8)
         total = sum(cnt for cnt, _ in table.values())
         k8 = len(kernel(state.relation_at(8)))
         u8 = len(set(ledger.U(8)) & kernel(state.relation_at(8)))
@@ -576,7 +753,7 @@ class TestLuckyAnalysis:
             tables[i] = {20: mk(20, i)}
         for i in (10, 11, 12, 13, 14):
             tables[i] = {21: mk(21, i)}
-        lucky = find_lucky(state, ledger, tables, c=18)
+        lucky = find_lucky(state, ledger, tables_from_dicts(state.n, tables), c=18)
         assert lucky.jstar == 21
         # ceil((18-10)/4) = 2 lowest four-charge indices survive
         assert lucky.hprime == (10, 11)
@@ -587,7 +764,7 @@ class TestLuckyAnalysis:
         bad = state.comps[2].a
         tables = {7: {20: (4, ((bad, state.comps[20].a), (950, state.comps[20].b)))}}
         with pytest.raises(InternalLogicError, match="meets B'"):
-            find_lucky(state, ledger, tables, c=14)
+            find_lucky(state, ledger, tables_from_dicts(state.n, tables), c=14)
 
     def test_exclusion_bound_violation_detected(self):
         state, ledger, W = fixtures.jstar_unlucky()
@@ -658,6 +835,13 @@ class TestExtendMatching:
         phases = tel.phases()
         for phase in ("build_track", "charge_scheme_2", "charge_scheme_3", "lucky", "final_win"):
             assert phase in phases
+
+    def test_planted_step_sends_no_row_to_the_win_checks(self):
+        inst, sub = gen_planted_concentrated(100, 32, seed=6)
+        tel = Telemetry()
+        extend_matching(inst, sub, new_rel=0, c=32, telemetry=tel)
+        [event] = [e for e in tel.events if e["phase"] == "charge_scheme_3"]
+        assert event == {"phase": "charge_scheme_3", "heavy": 80, "win_checked": 0}
 
     def test_heavy_count_assertion(self):
         inst, sub = gen_planted_concentrated(100, 32, seed=6)

@@ -37,6 +37,7 @@ from grinblat.gen import (
     planted_capacity,
 )
 from grinblat.oracle import exact_solve, search_unmatchable
+from charging_ref import scheme_3_table
 from test_oracle import _random_small_instance
 
 
@@ -300,11 +301,9 @@ def _charging_record(n, c, seed):
         sorted(ledger.S.items()), sorted(ledger.T.items()),
         sorted(ledger.one_partner.items()), sorted(ledger.t_partner.items()),
     ]
-    rec["tables"] = []
-    for i in heavy_indices(state, ledger, c):
-        kind, table = charge_scheme_3(state, ledger, i)
-        assert kind == "table"
-        rec["tables"].append([i, sorted(table.items())])
+    kind, tables = charge_scheme_3(state, ledger, heavy_indices(state, ledger, c))
+    assert kind == "tables"
+    rec["tables"] = [[i, sorted(scheme_3_table(tables, i).items())] for i in tables.heavy]
     return rec
 
 
