@@ -106,9 +106,9 @@ def _cmd_exact(args) -> int:
         sys.stdout.buffer.write(write_matching(res.matching))
         return EXIT_OK
     if res.outcome == "proven-none":
-        print("proven-none", file=sys.stderr)
+        print(f"proven-none nodes={res.nodes}", file=sys.stderr)
         return EXIT_NONE
-    print("budget exhausted", file=sys.stderr)
+    print(f"budget exhausted nodes={res.nodes}", file=sys.stderr)
     return EXIT_ERROR
 
 

@@ -113,9 +113,9 @@ def extend_matching(
     if state.t < 2:
         # too small for a track; the hypothesis makes this unreachable, but
         # fixtures can get here, so hand off to the exact solver
-        if telemetry:
-            telemetry.record("exact_fallback")
         res = exact_solve(inst)
+        if telemetry:
+            telemetry.record("exact_fallback", outcome=res.outcome, nodes=res.nodes)
         if res.matching is None:
             raise InternalLogicError(
                 "extend_matching", f"exact fallback failed with outcome {res.outcome}"
@@ -193,9 +193,10 @@ def solve(
     if n == 0:
         return SolveResult("matched", Matching([]))
     if n < n_min or min_kernel(inst) < hypothesis_bound(n, c):
+        res = exact_solve(inst, budget=exact_budget)
         if telemetry:
-            telemetry.record("exact_dispatch", n=n)
-        return exact_solve(inst, budget=exact_budget)
+            telemetry.record("exact_dispatch", n=n, outcome=res.outcome, nodes=res.nodes)
+        return res
 
     pairs: dict[int, tuple[int, int]] = {}
     used: set[int] = set()

@@ -53,9 +53,6 @@ class Partition:
     arrays: Optional[tuple[np.ndarray, np.ndarray]] = None
 
     def __init__(self, classes: Iterable[Iterable[int]]):
-        # object.__setattr__ keeps the attribute in the instance's inline
-        # values; writing self.__dict__ here made exact_solve's runs 10%
-        # slower in the benchmark's oracle workload
         object.__setattr__(self, "classes", _canon_classes(classes))
 
     @classmethod
@@ -123,15 +120,19 @@ class Partition:
         return None
 
     @_view
-    def _pairs(self) -> list[tuple[int, int]]:
-        """Every pair of equivalent elements, in sorted order.  Callers
-        share the list and must not mutate it: exact_solve only ever
-        replaces a relation's list with a filtered copy."""
-        out = []
+    def _pair_masks(self) -> tuple[list[tuple[int, int]], dict[int, int]]:
+        """Every pair of equivalent elements in sorted order, and for each
+        listed element an int whose bit i is set when pair i holds it; a
+        class of k elements gives each member a mask of k(k-1)/2 bits."""
+        pairs = []
         for cl in self.classes:
-            out.extend(itertools.combinations(cl, 2))
-        out.sort()
-        return out
+            pairs.extend(itertools.combinations(cl, 2))
+        pairs.sort()
+        masks: dict[int, int] = {}
+        for i, (a, b) in enumerate(pairs):
+            masks[a] = masks.get(a, 0) | 1 << i
+            masks[b] = masks.get(b, 0) | 1 << i
+        return pairs, masks
 
     @_view
     def _index(self) -> dict[int, tuple[int, ...]]:
@@ -289,10 +290,7 @@ def _split_class(cl: tuple[int, ...]) -> list[tuple[int, ...]]:
     elements split as 2+2 so no block drops below size 2.
     """
     k = len(cl)
-    if k <= 3:
-        return [cl]
-    blocks = []
-    i = 0
+    blocks, i = [], 0
     while k - i > 4:
         blocks.append(cl[i : i + 3])
         i += 3

@@ -2,8 +2,8 @@
 
 exact_solve is a backtracking search over per-relation pair choices, used
 to certify matchings and non-matchings at small scale.  It runs on an
-explicit stack, so its depth has no limit, and each node narrows its
-parent's available-pair lists instead of rebuilding them.
+explicit stack, so its depth has no limit, and holds each open relation's
+available pairs as one int, so a node narrows each relation in one step.
 search_unmatchable hunts for extremal witnesses: instances whose kernels
 all reach a target size yet admit no rainbow matching.  It makes one
 deterministic pass, so equal arguments give equal results.
@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .core import Instance, Matching, Partition, kernel
+from .core import Instance, Matching, Partition
 
 
 @dataclass(frozen=True)
@@ -29,54 +29,62 @@ class SolveResult:
 def exact_solve(inst: Instance, budget: Optional[int] = None) -> SolveResult:
     """Backtracking search; fail-first relation order, deterministic.
 
-    A node is one attempted pair assignment.  Budget exhaustion is reported
-    as an outcome, never an error.  The search runs on an explicit stack,
-    so its depth is not bounded by Python's recursion limit.
+    A node is one attempted pair assignment; budget exhaustion is an outcome,
+    never an error.  The search runs on an explicit stack, so its depth is
+    not bounded by Python's recursion limit.  A relation's open pairs are one
+    int, bit i for its i-th pair in sorted order.  Trying the lowest set bit
+    first keeps sorted order; the fail-first relation is the first in index
+    order with the fewest set bits; choosing (a, b) clears the pairs holding
+    a or b in every other open relation, and one left with none prunes the
+    child.  These are the rules the list-based search had, so the nodes,
+    their order and the results are the same.
     """
     n = inst.n
     if n == 0:
         return SolveResult("matched", Matching([]), 0)
-    pair_lists = [p._pairs for p in inst.relations]
-    if any(not pl for pl in pair_lists):
-        return SolveResult("proven-none", None, 0)
-    kernels = [kernel(p) for p in inst.relations]
+    views = [p._pair_masks for p in inst.relations]
+    # An open relation is (open pair count, index, open pairs, its elements'
+    # masks), ordered as fail-first picks.  A frame holds the open relations
+    # in index order, the fail-first one and its untried pairs.
+    opens = [(len(pairs), j, (1 << len(pairs)) - 1, masks) for j, (pairs, masks) in enumerate(views)]
+    fewest = min(opens)  # a relation without pairs leaves nothing to try
+    limit = math.inf if budget is None else budget
     chosen: list[Optional[tuple[int, int]]] = [None] * n
     nodes = 0
-
-    # A frame holds the open relations in index order with their available
-    # pairs, the position of the fail-first relation (the first with the
-    # fewest pairs) and an iterator over that relation's pairs.  A child
-    # shares every list its pair leaves alone with its parent.
-    def frame(ids: list[int], avail: list[list[tuple[int, int]]]):
-        lens = [len(pl) for pl in avail]
-        k = lens.index(min(lens))
-        return ids, avail, k, iter(avail[k])
-
-    stack = [frame(list(range(n)), pair_lists)]
+    stack = [[opens, fewest, fewest[2]]]
     while stack:
-        ids, avail, k, pairs = stack[-1]
-        pair = next(pairs, None)
-        if pair is None:
+        frame = stack[-1]
+        opens, rel, untried = frame
+        if not untried:
             stack.pop()
             continue
+        low = untried & -untried
+        frame[2] = untried ^ low
         nodes += 1
-        if budget is not None and nodes > budget:
+        if nodes > limit:
             return SolveResult("budget", None, nodes)
-        chosen[ids[k]] = pair
-        if len(ids) == 1:
+        j = rel[1]
+        pair = chosen[j] = views[j][0][low.bit_length() - 1]
+        if len(opens) == 1:
             return SolveResult("matched", Matching(chosen), nodes)
         a, b = pair
-        child_ids = ids[:k] + ids[k + 1 :]
-        child = avail[:k] + avail[k + 1 :]
-        for pos, j in enumerate(child_ids):
-            if a in kernels[j] or b in kernels[j]:
-                pl = [q for q in child[pos] if a not in q and b not in q]
-                if not pl:
+        child = []
+        fewest = None
+        for other in opens:
+            if other is rel:
+                continue
+            masks = other[3]
+            if a in masks or b in masks:
+                left = other[2] & ~(masks.get(a, 0) | masks.get(b, 0))
+                if not left:
                     # fail-first would pick this relation and try nothing
                     break
-                child[pos] = pl
+                other = (left.bit_count(), other[1], left, masks)
+            child.append(other)
+            if fewest is None or other[0] < fewest[0]:
+                fewest = other
         else:
-            stack.append(frame(child_ids, child))
+            stack.append([child, fewest, fewest[2]])
     return SolveResult("proven-none", None, nodes)
 
 
@@ -113,12 +121,8 @@ def _count_partitions_23(k: int) -> int:
 
 def _shapes(k: int) -> list[tuple[int, ...]]:
     """Multisets of block sizes 2 and 3 summing to k, smallest-first order."""
-    out = []
-    for threes in range(k // 3 + 1):
-        rem = k - 3 * threes
-        if rem % 2 == 0:
-            out.append(tuple([2] * (rem // 2) + [3] * threes))
-    return sorted(out)
+    sizes = [(threes, k - 3 * threes) for threes in range(k // 3 + 1)]
+    return sorted(tuple([2] * (rem // 2) + [3] * threes) for threes, rem in sizes if rem % 2 == 0)
 
 
 def search_unmatchable(
@@ -155,15 +159,12 @@ def search_unmatchable(
         for support in itertools.combinations(range(ground), kernel_target):
             candidates.extend(_partitions_23(support))
         # each candidate's Partition, built on first visit and kept for the
-        # cell's shapes, so its kernel and pair list are computed once
+        # cell's shapes, so its pair masks are computed once
         parts: list[Optional[Partition]] = [None] * len(candidates)
         for shape in _shapes(kernel_target):
             # relation 1: consecutive blocks realizing the shape
-            blocks, at = [], 0
-            for sz in shape:
-                blocks.append(tuple(range(at, at + sz)))
-                at += sz
-            rel1 = Partition(blocks)
+            ends = itertools.accumulate(shape)
+            rel1 = Partition(tuple(range(end - sz, end)) for sz, end in zip(shape, ends))
             for choice in itertools.combinations_with_replacement(range(len(candidates)), n - 1):
                 if nodes >= budget:
                     return SearchResult(None, 0, nodes, False)

@@ -1,6 +1,7 @@
 """Core data model tests: partitions, kernels, verification, normalization."""
 
 import ast
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,8 @@ from grinblat.core import (
 from grinblat.construct import solve
 from grinblat.construct.charging import direct_pair
 from grinblat.formats import parse_instance, write_instance
-from grinblat.gen import gen_random_hypothesis
+from grinblat.gen import gen_lower_bound_family, gen_random_hypothesis
+from grinblat.oracle import exact_solve
 
 
 class TestPartition:
@@ -381,6 +383,47 @@ def test_parsed_pipeline_builds_no_class_tuple_or_kernel():
     assert verify_matching(inst, res.matching).valid
     for p in inst.relations + generated.relations:
         assert not {"classes", "_kernel"} & vars(p).keys()
+
+
+def _assert_pair_masks(p, classes):
+    # the sorted pairs from itertools.combinations over the classes, and
+    # bit i of an element's mask set exactly when pair i holds it
+    pairs = sorted(pair for cl in classes for pair in itertools.combinations(sorted(cl), 2))
+    got_pairs, masks = p._pair_masks
+    assert got_pairs == pairs
+    assert masks.keys() == {x for cl in classes for x in cl}
+    for x, mask in masks.items():
+        assert mask == sum(1 << i for i, pair in enumerate(pairs) if x in pair)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_class_lists())
+def test_pair_masks_on_tuple_and_array_born_partitions(classes):
+    tuple_born = Partition(classes)
+    # what grinblat exact hands the solver
+    parsed = parse_instance(write_instance(Instance(13, [tuple_born]))).relations[0]
+    # the parser gives a relation without classes no arrays
+    assert tuple_born.arrays is None and (parsed.arrays is not None or not classes)
+    for p in (tuple_born, parsed, _from_arrays(classes)):
+        _assert_pair_masks(p, classes)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_pair_masks_shared_across_relations(n):
+    # the family repeats one Partition object n times; the solver reads
+    # its view once per relation and changes nothing in it
+    inst = gen_lower_bound_family(n)
+    rel = inst.relations[0]
+    assert all(p is rel for p in inst.relations)
+    for _ in range(2):
+        assert exact_solve(inst).outcome == "proven-none"
+        _assert_pair_masks(rel, rel.classes)
+        assert all(p._pair_masks is rel._pair_masks for p in inst.relations)
+    parsed = parse_instance(write_instance(inst))
+    assert exact_solve(parsed) == exact_solve(inst)
+    for p in parsed.relations:
+        assert p.arrays is not None
+        _assert_pair_masks(p, rel.classes)
 
 
 @pytest.mark.parametrize("classes", [

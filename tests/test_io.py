@@ -23,6 +23,7 @@ from grinblat.formats import (
     write_matching,
 )
 from grinblat.gen import gen_lower_bound_family, gen_random_hypothesis
+from grinblat.oracle import exact_solve
 
 
 class TestInstanceFormat:
@@ -352,6 +353,29 @@ class TestCli:
             tmp_path, "lb.txt", write_instance(gen_lower_bound_family(4))
         )
         assert cli.main(["exact", path]) == 1
+        assert capsys.readouterr().err == "proven-none nodes=225\n"
+        # a budget stops the search one node past it
+        assert cli.main(["exact", path, "--budget", "10"]) == 2
+        assert capsys.readouterr() == ("", "budget exhausted nodes=11\n")
+
+    def test_exact_events_carry_outcome_and_nodes(self, tmp_path, capsys):
+        # below the size threshold solve dispatches to the exact solver
+        path = self._write(tmp_path, "lb.txt", write_instance(gen_lower_bound_family(4)))
+        assert cli.main(["solve", path, "--telemetry"]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[1:] == ["proven-none"]
+        assert json.loads(lines[0]) == {"phase": "exact_dispatch", "n": 4, "outcome": "proven-none", "nodes": 225}
+        # extend_matching's exact fallback re-matches relations 0-2
+        rels = [
+            Partition([(0, 1, 2)]),
+            Partition([(0, 1, 2, 3), (8, 9)]),
+            Partition([(0, 2), (1, 3)]),
+            Partition([(4, 5), (6, 7)]),
+        ]
+        tel = Telemetry()
+        solve(Instance(10, rels), c=-100, n_min=1, telemetry=tel)
+        fallback = exact_solve(Instance(10, rels[:3]))
+        assert tel.events[1] == {"phase": "exact_fallback", "outcome": "matched", "nodes": fallback.nodes}
 
     def test_gen_planted_writes_sub(self, tmp_path, capsys):
         sub_path = str(tmp_path / "sub.txt")

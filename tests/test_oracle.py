@@ -1,15 +1,17 @@
 """Exact solver tests, cross-checked against an independent brute-force
-enumerator."""
+enumerator and the list-based search the solver replaced."""
 
+import itertools
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brute import brute_has_matching
+from exact_ref import exact_solve as reference_solve
 from grinblat.core import Instance, Partition, verify_matching
 from grinblat.gen import gen_lower_bound_family
-from grinblat.oracle import exact_solve
+from grinblat.oracle import SolveResult, exact_solve
 
 
 class TestExactSolve:
@@ -89,3 +91,73 @@ def test_exact_solve_agrees_with_brute_force_property(seed):
     inst = _random_small_instance(random.Random(seed))
     res = exact_solve(inst)
     assert (res.outcome == "matched") == brute_has_matching(inst)
+
+
+def _random_instance(rng: random.Random) -> Instance:
+    # one to four classes of 2 to 5 elements per relation, cut from a
+    # shuffled ground set; a first class that does not fit leaves none
+    ground, n = rng.randint(4, 16), rng.randint(1, 7)
+    rels = []
+    for _ in range(n):
+        elems = rng.sample(range(ground), ground)
+        classes, at = [], 0
+        for _ in range(rng.randint(1, 4)):
+            size = rng.randint(2, 5)
+            if at + size > ground:
+                break
+            classes.append(elems[at : at + size])
+            at += size
+        rels.append(Partition(classes))
+    return Instance(ground, rels)
+
+
+def _padded(inst: Instance) -> Instance:
+    # one extra disjoint pair in every relation restores a matching
+    g = inst.ground_size
+    return Instance(g + 2 * inst.n, [
+        Partition(list(p.classes) + [(g + 2 * i, g + 2 * i + 1)]) for i, p in enumerate(inst.relations)
+    ])
+
+
+def _differential_inputs():
+    rng = random.Random(20261019)
+    for _ in range(300):
+        yield _random_instance(rng)
+    for n in range(2, 8):
+        yield gen_lower_bound_family(n)
+        yield _padded(gen_lower_bound_family(n))
+    yield Instance(400, [Partition([(2 * i, 2 * i + 1)]) for i in range(200)])
+
+
+def test_exact_solve_matches_the_list_based_search():
+    # the bitmask search visits the reference's nodes in the reference's
+    # order: same outcome, node count and matching under every budget
+    for inst in _differential_inputs():
+        for budget in (None, 0, 1, 3, 50):
+            got, want = exact_solve(inst, budget=budget), reference_solve(inst, budget=budget)
+            assert (got.outcome, got.nodes, got.matching) == (want.outcome, want.nodes, want.matching)
+
+
+@st.composite
+def _instances(draw):
+    ground = draw(st.integers(4, 12))
+    rels = []
+    for _ in range(draw(st.integers(1, 6))):
+        elems = draw(st.permutations(range(ground)))
+        sizes = draw(st.lists(st.integers(2, 5), min_size=1, max_size=4))
+        ends = list(itertools.accumulate(sizes))
+        rels.append(Partition(elems[end - k : end] for k, end in zip(sizes, ends) if end <= ground))
+    return Instance(ground, rels)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_instances(), st.integers(min_value=0, max_value=60))
+def test_budget_stops_one_node_past_it(inst, budget):
+    # a budget at least the unbudgeted node count changes nothing; a smaller
+    # one stops the search at its first node past the budget
+    full = exact_solve(inst)
+    got = exact_solve(inst, budget=budget)
+    if full.nodes <= budget:
+        assert got == full
+    else:
+        assert got == SolveResult("budget", None, budget + 1)
