@@ -2,7 +2,9 @@
 
 Three families: the classical lower-bound family, uniform hypothesis-regime
 instances, and planted adversarial instances that steer the constructive
-engine through its deep phases.
+engine through its deep phases.  The uniform and planted generators build
+every relation from arrays (``Partition._from_arrays``), canonicalised for
+all relations in one sort, and cut no class tuple.
 
 A hard feasibility fact shapes gen_planted_concentrated: if relation 1 has
 no class with two elements outside B, then |K_1| <= 4(n-1).  The kernel
@@ -13,6 +15,7 @@ with filler classes, which necessarily reintroduce direct pairs.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -105,17 +108,17 @@ def gen_planted_concentrated(
     a planted t-charging win after the full track.  Above capacity the core
     is padded with shared filler classes to honor the kernel bound; the
     filler gives relation 0 a direct pair, which is unavoidable there.
+
+    Every class is a pair.  The classes are built unlabelled, in a fixed
+    order, then relabelled through one seeded ``random.Random(seed)``
+    shuffle of the ground set with one numpy take per relation; the filler
+    pool is relabelled once and appended to every relation's core.
     """
     if n < 10:
         raise ValueError("planted construction needs n >= 10")
     cap = planted_capacity(n)
     t = n // 5
-    counter = 0
-
-    def fresh() -> int:
-        nonlocal counter
-        counter += 1
-        return counter - 1
+    fresh = itertools.count().__next__  # the next unused unlabelled element
 
     # identity pairs for positions 2..n and cross elements for 2..t
     a = {p: fresh() for p in range(2, n + 1)}
@@ -123,77 +126,63 @@ def gen_planted_concentrated(
     cc = {p: fresh() for p in range(2, t + 1)}
     d = {p: fresh() for p in range(2, t + 1)}
 
-    rel_classes: dict[int, list[tuple[int, ...]]] = {m: [] for m in range(1, n + 1)}
+    # each relation's classes, all pairs, as one flat list of their elements
+    rel: dict[int, list[int]] = {m: [] for m in range(1, n + 1)}
 
     # relation 1: track edges into C_2 plus one pump class per identity element
-    rel_classes[1].append((a[2], cc[2]))
-    rel_classes[1].append((b[2], d[2]))
+    rel[1] += a[2], cc[2], b[2], d[2]
     for j in range(3, n + 1):
-        rel_classes[1].append((a[j], fresh()))
-        rel_classes[1].append((b[j], fresh()))
+        rel[1] += a[j], fresh(), b[j], fresh()
 
     # relations 2..t-1: own pair, track edges into C_{m+1}, right pumps, left pumps
     for m in range(2, t):
-        cls = rel_classes[m]
-        cls.append((a[m], b[m]))
-        cls.append((a[m + 1], cc[m + 1]))
-        cls.append((b[m + 1], d[m + 1]))
+        pairs = rel[m]
+        pairs += a[m], b[m], a[m + 1], cc[m + 1], b[m + 1], d[m + 1]
         for j in range(m + 2, n + 1):
-            cls.append((a[j], fresh()))
-            cls.append((b[j], fresh()))
+            pairs += a[j], fresh(), b[j], fresh()
         for j in range(2, m):
-            cls.append((a[j], b[j]))
+            pairs += a[j], b[j]
 
     # relation t: own pair, right pumps, left pumps; no cross elements appear,
     # so every t-charge lands on an identity element's component
-    cls = rel_classes[t]
-    cls.append((a[t], b[t]))
+    pairs = rel[t]
+    pairs += a[t], b[t]
     for j in range(t + 1, n + 1):
-        cls.append((a[j], fresh()))
-        cls.append((b[j], fresh()))
+        pairs += a[j], fresh(), b[j], fresh()
     for j in range(2, t):
-        cls.append((a[j], b[j]))
+        pairs += a[j], b[j]
 
     # right-side relations: own pair, pumps to the other right components,
     # left pumps on identity pairs only
     for i in range(t + 1, n + 1):
-        cls = rel_classes[i]
-        cls.append((a[i], b[i]))
+        pairs = rel[i]
+        pairs += a[i], b[i]
         for p in range(t + 1, n + 1):
             if p != i:
-                cls.append((a[p], fresh()))
-                cls.append((b[p], fresh()))
+                pairs += a[p], fresh(), b[p], fresh()
         for j in range(2, t + 1):
-            cls.append((a[j], b[j]))
+            pairs += a[j], b[j]
 
     if c <= cap and not _deep_eligible(n, c):
         # plant a t-equivalent fresh pair: the pipeline finishes at the
         # t-charging win scan right after the track is complete
-        rel_classes[t].append((fresh(), fresh()))
+        rel[t] += fresh(), fresh()
 
+    core = fresh()  # the core's elements are 0..core-1
+    ground = core
     if c > cap:
-        # shared filler pool lifting every kernel to the required bound
-        bound = math.ceil(16 * n / 5) + c
-        deficit = max(
-            bound - sum(len(cl) for cl in rel_classes[m]) for m in range(1, n + 1)
-        )
-        pool = [(fresh(), fresh()) for _ in range((deficit + 1) // 2)]
-        for m in range(1, n + 1):
-            rel_classes[m].extend(pool)
+        # shared filler pool of fresh pairs, elements core..ground-1, lifting
+        # every kernel to the required bound
+        deficit = math.ceil(16 * n / 5) + c - min(map(len, rel.values()))
+        ground += (deficit + 1) // 2 * 2
 
-    ground = counter
     # seeded relabeling so different seeds give genuinely different instances
-    rng = random.Random(seed)
     relabel = list(range(ground))
-    rng.shuffle(relabel)
-
-    def rl(x: int) -> int:
-        return relabel[x]
-
-    rels = [
-        Partition([tuple(rl(e) for e in cl) for cl in rel_classes[m]])
-        for m in range(1, n + 1)
-    ]
-    inst = Instance(ground, rels)
-    sub = {p - 1: (rl(a[p]), rl(b[p])) for p in range(2, n + 1)}
-    return inst, sub
+    random.Random(seed).shuffle(relabel)
+    perm = np.array(relabel)
+    pool = perm[core:]  # the filler pool's labels, relabelled once
+    cuts = [np.concatenate((perm[elems], pool)) for elems in rel.values()]
+    twos = np.full(ground // 2, 2)  # every class is a pair
+    sizes = [twos[: len(cut) // 2] for cut in cuts]
+    sub = {p - 1: (relabel[a[p]], relabel[b[p]]) for p in range(2, n + 1)}
+    return Instance(ground, _canon_relations(cuts, sizes, ground)), sub

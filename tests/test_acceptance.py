@@ -8,6 +8,7 @@ The constructive sweep (criteria 3-5 share it) is executed once per test
 session and takes a few minutes at n = 200.
 """
 
+import itertools
 import time
 from contextlib import contextmanager
 
@@ -76,11 +77,15 @@ SWEEP_C = 5000
 
 
 def _greedy_sub(inst):
+    """Each relation 1..n-1 in turn takes the first two unused elements of
+    its first class that has two.  Walks the relations' arrays, which the
+    generator builds, so no class tuple is cut."""
     used: set[int] = set()
     sub = {}
     for i in range(1, inst.n):
-        for cl in inst.relations[i].classes:
-            free = [e for e in cl if e not in used]
+        elems, starts = inst.relations[i].arrays
+        for at, end in itertools.pairwise(starts.tolist() + [len(elems)]):
+            free = [e for e in elems[at:end].tolist() if e not in used]
             if len(free) >= 2:
                 sub[i] = (free[0], free[1])
                 used.update(free[:2])

@@ -6,11 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import planted_ref
 from fixtures import FixtureSpec, InfeasibleFixture, gen_fixture_ledger
 from grinblat.construct import hypothesis_bound, try_direct_pair
 from grinblat.construct.pipeline import _initial_state
 from grinblat.core import KernelInfo, kernel, min_kernel, verify_matching
+from grinblat.formats import write_instance
 from grinblat.gen import (
+    _deep_eligible,
     gen_lower_bound_family,
     gen_planted_concentrated,
     gen_random_hypothesis,
@@ -113,6 +116,39 @@ class TestPlantedConcentrated:
         # the whole way; check the instance is still hypothesis-tight
         inst, _ = gen_planted_concentrated(100, 32, seed=0)
         assert min_kernel(inst) >= hypothesis_bound(100, 32)
+
+
+def _planted_grid():
+    """(n, c) for each n of the grid and each branch the planted generator
+    takes: the deep plant where n admits one, the t-pair plant at capacity,
+    and the filler pool just above capacity and far above it."""
+    for n in (10, 11, 30, 31, 100):
+        cap = planted_capacity(n)
+        deep = [32] if _deep_eligible(n, 32) else []
+        assert not _deep_eligible(n, cap)
+        for c in deep + [cap, cap + 1, 5000]:
+            yield n, c
+
+
+@pytest.mark.parametrize("n, c", list(_planted_grid()))
+def test_planted_matches_the_tuple_born_generator(n, c):
+    for seed in (1, 2, 3):
+        inst, sub = gen_planted_concentrated(n, c, seed)
+        ref, ref_sub = planted_ref.gen_planted_concentrated(n, c, seed)
+        assert inst.ground_size == ref.ground_size
+        assert sub == ref_sub
+        assert write_instance(inst) == write_instance(ref)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_random_hypothesis(30, 5000, 1),
+    lambda: gen_random_hypothesis(12, 0, 4, 3),
+    lambda: gen_planted_concentrated(100, 32, 1)[0],  # deep plant
+    lambda: gen_planted_concentrated(30, 8, 1)[0],  # t-pair plant
+    lambda: gen_planted_concentrated(30, 5000, 1)[0],  # filler pool
+], ids=["random-5000", "random-slack", "planted-deep", "planted-t-pair", "planted-filler"])
+def test_generated_relations_are_array_born(make):
+    assert all(p.arrays is not None for p in make().relations)
 
 
 class TestFixtureLedger:

@@ -31,6 +31,7 @@ from grinblat.core import Instance, Partition, verify_matching
 from grinblat.experiment import ExperimentConfig, run_experiment
 from grinblat.formats import parse_instance, write_instance, write_matching
 from grinblat.gen import (
+    _deep_eligible,
     gen_lower_bound_family,
     gen_planted_concentrated,
     gen_random_hypothesis,
@@ -127,6 +128,18 @@ def test_uniform_instance_digest(n, c, seed, slack, digest):
 ])
 def test_planted_instance_digest(seed, digest):
     inst, _ = gen_planted_concentrated(100, 32, seed)
+    assert _sha(write_instance(inst)) == digest
+
+
+@pytest.mark.parametrize("n, c, seed, digest", [
+    # within capacity but not deep-eligible, where relation t gets a planted
+    # fresh pair; n = 10 is the smallest n the generator accepts
+    (30, 8, 1, "000b21169c6a6f9332e365cadd07f6e2e4a6d18dd89d78bae109c80b64dc3f8a"),
+    (10, 0, 1, "95a8e7819c1733c12555706a0060ca96af6548b90bb91baaf7602bd6153cafc0"),
+])
+def test_planted_t_pair_instance_digest(n, c, seed, digest):
+    assert c <= planted_capacity(n) and not _deep_eligible(n, c)
+    inst, _ = gen_planted_concentrated(n, c, seed)
     assert _sha(write_instance(inst)) == digest
 
 
