@@ -145,6 +145,7 @@ def _cmd_search(args) -> int:
     res = search_unmatchable(args.n, args.kernel_target, args.max_ground, budget=args.budget)
     if res.witness is not None:
         sys.stdout.buffer.write(write_instance(res.witness))
+        print(f"witness ground={res.ground_size} nodes={res.nodes}", file=sys.stderr)
         return EXIT_OK
     print(
         f"none-found nodes={res.nodes} exhausted={res.exhausted}", file=sys.stderr

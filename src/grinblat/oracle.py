@@ -1,11 +1,14 @@
 """Exact ground-truth solvers.
 
-exact_solve is a backtracking search over per-relation pair choices, used
-to certify matchings and non-matchings at small scale.  It runs on an
-explicit stack, so its depth has no limit, and holds each open relation's
-available pairs as one int, so a node narrows each relation in one step.
+Both oracles run one search core, ``_search``: a backtracking search over
+per-relation pair choices on an explicit stack, so its depth has no limit,
+that holds each open relation's available pairs as one int, so a node
+narrows each relation in one step.  exact_solve wraps it to certify
+matchings and non-matchings of one instance at small scale.
 search_unmatchable hunts for extremal witnesses: instances whose kernels
-all reach a target size yet admit no rainbow matching.  It makes one
+all reach a target size yet admit no rainbow matching.  It calls the core
+once per candidate tuple on pair masks built once per candidate, and
+builds an ``Instance`` only for the witness it returns.  It makes one
 deterministic pass, so equal arguments give equal results.
 """
 
@@ -30,26 +33,47 @@ def exact_solve(inst: Instance, budget: Optional[int] = None) -> SolveResult:
     """Backtracking search; fail-first relation order, deterministic.
 
     A node is one attempted pair assignment; budget exhaustion is an outcome,
-    never an error.  The search runs on an explicit stack, so its depth is
-    not bounded by Python's recursion limit.  A relation's open pairs are one
-    int, bit i for its i-th pair in sorted order.  Trying the lowest set bit
-    first keeps sorted order; the fail-first relation is the first in index
-    order with the fewest set bits; choosing (a, b) clears the pairs holding
-    a or b in every other open relation, and one left with none prunes the
-    child.  These are the rules the list-based search had, so the nodes,
-    their order and the results are the same.
+    never an error.  The search (``_search``) runs on an explicit stack, so
+    its depth is not bounded by Python's recursion limit.
     """
-    n = inst.n
-    if n == 0:
+    if inst.n == 0:
         return SolveResult("matched", Matching([]), 0)
     views = [p._pair_masks for p in inst.relations]
-    # An open relation is (open pair count, index, open pairs, its elements'
-    # masks), ordered as fail-first picks.  A frame holds the open relations
-    # in index order, the fail-first one and its untried pairs.
-    opens = [(len(pairs), j, (1 << len(pairs)) - 1, masks) for j, (pairs, masks) in enumerate(views)]
+    outcome, chosen, nodes = _search(views, [_open(j, view) for j, view in enumerate(views)], budget)
+    return SolveResult(outcome, None if chosen is None else Matching(chosen), nodes)
+
+
+def _open(j: int, view: tuple[list[tuple[int, int]], dict[int, int]]) -> tuple:
+    """Relation j's open tuple with every pair of its view open."""
+    pairs, masks = view
+    return (len(pairs), j, (1 << len(pairs)) - 1, masks)
+
+
+def _search(
+    views: Sequence[tuple[list[tuple[int, int]], dict[int, int]]],
+    opens: list[tuple],
+    budget: Optional[int],
+) -> tuple[str, Optional[list[tuple[int, int]]], int]:
+    """The search behind both oracles: (outcome, chosen pairs, nodes).
+
+    views[j] is relation j's ``Partition._pair_masks``; opens holds one
+    open tuple per relation, (open pair count, index, open pairs, its
+    elements' masks), in index order.  The chosen pairs, one per relation,
+    come back only on "matched".
+
+    A relation's open pairs are one int, bit i for its i-th pair in sorted
+    order.  Trying the lowest set bit first keeps sorted order; the
+    fail-first relation is the first in index order with the fewest set
+    bits; choosing (a, b) clears the pairs holding a or b in every other
+    open relation, and one left with none prunes the child.  These are the
+    rules the list-based search had, so the nodes, their order and the
+    results are the same.
+    """
+    # A frame holds the open relations in index order, the fail-first one
+    # and its untried pairs; open tuples order as fail-first picks.
     fewest = min(opens)  # a relation without pairs leaves nothing to try
     limit = math.inf if budget is None else budget
-    chosen: list[Optional[tuple[int, int]]] = [None] * n
+    chosen: list[Optional[tuple[int, int]]] = [None] * len(views)
     nodes = 0
     stack = [[opens, fewest, fewest[2]]]
     while stack:
@@ -62,11 +86,11 @@ def exact_solve(inst: Instance, budget: Optional[int] = None) -> SolveResult:
         frame[2] = untried ^ low
         nodes += 1
         if nodes > limit:
-            return SolveResult("budget", None, nodes)
+            return "budget", None, nodes
         j = rel[1]
         pair = chosen[j] = views[j][0][low.bit_length() - 1]
         if len(opens) == 1:
-            return SolveResult("matched", Matching(chosen), nodes)
+            return "matched", chosen, nodes
         a, b = pair
         child = []
         fewest = None
@@ -85,7 +109,7 @@ def exact_solve(inst: Instance, budget: Optional[int] = None) -> SolveResult:
                 fewest = other
         else:
             stack.append([child, fewest, fewest[2]])
-    return SolveResult("proven-none", None, nodes)
+    return "proven-none", None, nodes
 
 
 @dataclass(frozen=True)
@@ -158,26 +182,32 @@ def search_unmatchable(
         candidates: list[tuple[tuple[int, ...], ...]] = []
         for support in itertools.combinations(range(ground), kernel_target):
             candidates.extend(_partitions_23(support))
-        # each candidate's Partition, built on first visit and kept for the
-        # cell's shapes, so its pair masks are computed once
-        parts: list[Optional[Partition]] = [None] * len(candidates)
+        # each candidate's pair masks and its open tuple at every relation
+        # index, built on first visit and kept for the cell's shapes; a
+        # candidate's Partition is built only for a witness
+        built: list[Optional[tuple]] = [None] * len(candidates)
         for shape in _shapes(kernel_target):
             # relation 1: consecutive blocks realizing the shape
             ends = itertools.accumulate(shape)
             rel1 = Partition(tuple(range(end - sz, end)) for sz, end in zip(shape, ends))
+            view1 = rel1._pair_masks
+            open1 = _open(0, view1)
             for choice in itertools.combinations_with_replacement(range(len(candidates)), n - 1):
                 if nodes >= budget:
                     return SearchResult(None, 0, nodes, False)
-                rels = [rel1]
-                for i in choice:
-                    if parts[i] is None:
-                        parts[i] = Partition(candidates[i])
-                    rels.append(parts[i])
-                inst = Instance(ground, rels)
-                res = exact_solve(inst, budget=budget - nodes)
-                nodes += res.nodes
-                if res.outcome == "proven-none":
-                    return SearchResult(inst, ground, nodes, False)
+                rel_views, opens = [view1], [open1]
+                for j, i in enumerate(choice, 1):
+                    cand = built[i]
+                    if cand is None:
+                        view = Partition(candidates[i])._pair_masks
+                        cand = built[i] = (view, [_open(k, view) for k in range(n)])
+                    rel_views.append(cand[0])
+                    opens.append(cand[1][j])
+                outcome, _, spent = _search(rel_views, opens, budget - nodes)
+                nodes += spent
+                if outcome == "proven-none":
+                    witness = Instance(ground, [rel1] + [Partition(candidates[i]) for i in choice])
+                    return SearchResult(witness, ground, nodes, False)
     # a budget spent in the last cell may have cut it short
     return SearchResult(None, 0, nodes, nodes < budget)
 

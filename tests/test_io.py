@@ -23,7 +23,7 @@ from grinblat.formats import (
     write_matching,
 )
 from grinblat.gen import gen_lower_bound_family, gen_random_hypothesis
-from grinblat.oracle import exact_solve
+from grinblat.oracle import exact_solve, search_unmatchable
 
 
 class TestInstanceFormat:
@@ -392,8 +392,12 @@ class TestCli:
 
     def test_search_witness_exit_0(self, capsys):
         assert cli.main(["search", "2", "4", "5", "--budget", "100000"]) == 0
-        inst = parse_instance(capsys.readouterr().out)
+        out, err = capsys.readouterr()
+        inst = parse_instance(out)
         assert inst.n == 2
+        res = search_unmatchable(2, 4, 5, budget=100000)
+        assert out.encode() == write_instance(res.witness)
+        assert err == f"witness ground=4 nodes={res.nodes}\n"
 
     def test_parse_error_exit_2(self, tmp_path, capsys):
         path = self._write(tmp_path, "bad.txt", b"not a header\n")

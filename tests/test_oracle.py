@@ -1,5 +1,6 @@
 """Exact solver tests, cross-checked against an independent brute-force
-enumerator and the list-based search the solver replaced."""
+enumerator, the list-based search the solver replaced and an integer
+program solved by scipy."""
 
 import itertools
 import random
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from brute import brute_has_matching
 from exact_ref import exact_solve as reference_solve
+from milp_ref import milp_matching
 from grinblat.core import Instance, Partition, verify_matching
 from grinblat.gen import gen_lower_bound_family
 from grinblat.oracle import SolveResult, exact_solve
@@ -161,3 +163,28 @@ def test_budget_stops_one_node_past_it(inst, budget):
         assert got == full
     else:
         assert got == SolveResult("budget", None, budget + 1)
+
+
+class TestMilpOracle:
+    def test_lower_bound_family_is_infeasible(self):
+        # beyond n = 7, where exact_solve takes seconds, this verdict rests
+        # on the integer program alone
+        for n in range(2, 11):
+            assert milp_matching(gen_lower_bound_family(n)) is None
+
+    def test_padded_family_is_feasible(self):
+        for n in range(2, 11):
+            inst = _padded(gen_lower_bound_family(n))
+            m = milp_matching(inst)
+            assert m is not None and verify_matching(inst, m).valid
+
+    def test_agrees_with_exact_solve(self):
+        # random instances with classes of up to 5 elements, some relations
+        # without a pair; a feasible program's matching must verify
+        rng = random.Random(20261020)
+        for _ in range(150):
+            inst = _random_instance(rng)
+            m = milp_matching(inst)
+            assert (m is not None) == (exact_solve(inst).outcome == "matched")
+            if m is not None:
+                assert verify_matching(inst, m).valid

@@ -10,6 +10,7 @@ family bound 3n-3 = 6 is far below it.
 
 import pytest
 
+import search_ref
 from grinblat.core import Instance, KernelInfo, Partition
 from grinblat.oracle import (
     _count_partitions_23,
@@ -19,6 +20,8 @@ from grinblat.oracle import (
     min_unmatchable_kernel,
     search_unmatchable,
 )
+from milp_ref import milp_matching
+from test_golden import SEARCH_GRID
 
 # the crossed-matchings witness for n=2, kernel size 4
 CROSSED_N2 = Instance(4, [Partition([(0, 1), (2, 3)]), Partition([(0, 2), (1, 3)])])
@@ -100,3 +103,41 @@ class TestSearchMechanics:
         res = search_unmatchable(3, 6, max_ground=6, budget=10**5)
         assert res.witness is not None
         assert exact_solve(res.witness).outcome == "proven-none"
+
+
+def _record(res):
+    classes = None if res.witness is None else [p.classes for p in res.witness.relations]
+    return classes, res.ground_size, res.nodes, res.exhausted
+
+
+# the witness of (3, 8, 12) costs 29,205 nodes, its own solver call the
+# last 12 of them: budgets that stop that call mid-way and at its last node,
+# one it spends exactly and one with a node to spare
+WITNESS_BUDGETS = [(3, 8, 12, b) for b in (29_199, 29_204, 29_205, 29_206)]
+
+
+@pytest.mark.parametrize("n, target, max_ground, budget", SEARCH_GRID + WITNESS_BUDGETS)
+def test_search_matches_the_per_instance_loop(n, target, max_ground, budget):
+    # the search tries the reference's candidate tuples in its order and
+    # spends its nodes, without building an Instance per candidate
+    got = search_unmatchable(n, target, max_ground, budget=budget)
+    want = search_ref.search_unmatchable(n, target, max_ground, budget=budget)
+    assert _record(got) == _record(want)
+
+
+def test_min_kernel_matches_the_per_instance_loop():
+    got = min_unmatchable_kernel(2, 6, 10**6)
+    want = search_ref.min_unmatchable_kernel(2, 6, 10**6)
+    assert (got.value, got.witness, got.exhausted) == (want.value, want.witness, want.exhausted)
+
+
+def test_witnesses_are_infeasible_integer_programs():
+    # each witness's "no matching" is checked by a solver that shares no
+    # code with exact_solve; the two extra searches find the n = 2 crossed
+    # matchings and an n = 3 witness at the family bound
+    grid = SEARCH_GRID + [(2, 4, 6, 10**5), (3, 6, 6, 10**5)]
+    witnesses = [search_unmatchable(*args[:3], budget=args[3]).witness for args in grid]
+    witnesses = [w for w in witnesses if w is not None]
+    assert len(witnesses) == 3
+    for w in witnesses:
+        assert milp_matching(w) is None
