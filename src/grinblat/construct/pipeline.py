@@ -38,14 +38,14 @@ from .state import Component, Telemetry, TrackState
 
 DEFAULT_C = 5000
 DEFAULT_N_MIN = 30
+DEEP_C_MIN = 32  # the argument's minimum constant: the least c' the lucky phase works with
 
 
 def hypothesis_bound(n: int, c: int) -> int:
-    """ceil(16n/5) + c.  The deep phases of extend_matching currently need
-    c to be a multiple of 16 and at least 32, which this bound does not
-    ask: on gen_planted_concentrated(200, 64, 1), which meets it for every
-    c <= 64, the step succeeds at c = 48 and 64 and raises
-    InternalLogicError from final_win at c = 34 and 40."""
+    """ceil(16n/5) + c.  A step that gets past charging scheme 3 runs the
+    lucky phase and the final win with c' = 16 * floor(c / 16), which the
+    hypothesis at c implies, and refuses with HypothesisViolation where c'
+    is below DEEP_C_MIN (32)."""
     return math.ceil(16 * n / 5) + c
 
 
@@ -92,7 +92,9 @@ def extend_matching(
     """Extend a rainbow matching of all relations but new_rel to all of them.
 
     Raises HypothesisViolation if min_kernel falls below ceil(16n/5) + c,
-    and InternalLogicError if a step the argument proves must succeed fails.
+    or if the step reaches the lucky phase with 16 * floor(c / 16) below
+    DEEP_C_MIN, and InternalLogicError if a step the argument proves must
+    succeed fails.
     """
     n = inst.n
     mk = min_kernel(inst)
@@ -140,9 +142,18 @@ def extend_matching(
     if kind == "win":
         return _finish(state, payload)
 
-    lucky = find_lucky(state, ledger, payload, c)
-    lucky = select_nonconflicting(state, lucky, c)
-    compat = find_compatible_pair(state, ledger, lucky, c)
+    # the lucky phase's caps count in sixteenths of c; rounding c down to a
+    # multiple of 16 keeps each within the exclusion bound, and H'' needs
+    # c' >= 32 to hold a compatible pair
+    c_deep = 16 * (c // 16)
+    if c_deep < DEEP_C_MIN:
+        raise HypothesisViolation(
+            f"c = {c} gives the lucky phase c' = 16 * floor(c / 16) = {c_deep}, "
+            f"below the argument's minimum constant {DEEP_C_MIN} (n={n})"
+        )
+    lucky = find_lucky(state, ledger, payload, c_deep)
+    lucky = select_nonconflicting(state, lucky, c_deep)
+    compat = find_compatible_pair(state, ledger, lucky, c_deep)
     y = exclusion_set(state, ledger, lucky)
     if telemetry:
         telemetry.record(
@@ -152,7 +163,7 @@ def extend_matching(
             hsecond=len(lucky.hsecond),
             exclusion=len(y),
         )
-    m = final_win(state, ledger, lucky, compat, c, telemetry)
+    m = final_win(state, ledger, lucky, compat, c_deep, telemetry)
     return _finish(state, m)
 
 

@@ -8,13 +8,16 @@ order of their smallest element, one space between indices.  It formats
 the digits of a relation that holds CSR arrays (see ``core.Partition``)
 in one vectorised pass, and joins any other relation's lines class by class.
 ``parse_instance`` accepts the classes and their elements in any order,
-with any whitespace, and canonicalises them.  A relation whose class lines
-are canonical and hold only ASCII digits and spaces (as ``write_instance``
-emits them) is checked in one numpy pass and read as a ``Partition`` that
-holds the checked arrays and the flat view of its elements, but no class
-tuple and no kernel set.  Any other relation is read line by line into a
-``Partition`` of its classes, so that the
-``ParseError`` of a faulty one names its first bad line.
+with any whitespace, and canonicalises them.  A text in write_instance's
+form is walked relation by relation, without splitting it into lines: each
+relation's block of class lines is one slice of the text, checked in one
+numpy pass (canonical classes of ASCII digits and spaces, exactly k lines)
+and read as a ``Partition`` that holds the checked arrays and the flat view
+of its elements, but no class tuple and no kernel set.  Any other text
+(comments, CR, tabs, blank lines, a non-canonical header or block, trailing
+content) is read line by line: each relation takes the one-pass reader if
+its joined lines pass it, else is read into a ``Partition`` of its classes,
+so that the ``ParseError`` of a faulty text names its first bad line.
 Matching files hold one line ``i a b`` per relation, sorted by i.
 """
 
@@ -31,17 +34,19 @@ from .errors import ParseError
 _HEADER = "grinblat 1"
 
 
-def _lines(data: Union[bytes, str]) -> tuple[list[int], list[str]]:
+def _text(data: Union[bytes, str]) -> str:
+    if isinstance(data, str):
+        return data
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        no = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(no, f"invalid UTF-8 at byte {exc.start}") from None
+
+
+def _lines(text: str) -> tuple[list[int], list[str]]:
     """The 1-based numbers and the stripped text of the non-blank lines,
     comments removed, as two flat lists rather than a tuple per line."""
-    if isinstance(data, bytes):
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            no = data.count(b"\n", 0, exc.start) + 1
-            raise ParseError(no, f"invalid UTF-8 at byte {exc.start}") from None
-    else:
-        text = data
     raws = text.split("\n")
     if "#" in text:
         raws = [raw.split("#", 1)[0] for raw in raws]
@@ -57,7 +62,57 @@ def _ints(no: int, parts: list[str], what: str) -> list[int]:
 
 
 def parse_instance(data: Union[bytes, str]) -> Instance:
-    nos, lines = _lines(data)
+    text = _text(data)
+    if "#" not in text and "\r" not in text and "\t" not in text:
+        inst = _walk(text)
+        if inst is not None:
+            return inst
+    return _read_lines(*_lines(text))
+
+
+def _walk(text: str) -> Optional[Instance]:
+    """The instance of a text in write_instance's form, read relation by
+    relation: the block of class lines after each ``rel i k`` line, up to
+    the next line that starts with an 'r' (which no class line holds) or
+    the end of the text, goes to the one-pass reader as one slice.  None
+    wherever the text departs from that form."""
+    end = _eol(text, 0)
+    try:
+        n, ground = map(int, text[len(_HEADER) + 1 : end].split(" "))
+    except ValueError:
+        return None
+    if text[:end] != f"{_HEADER} {n} {ground}" or n < 0 or ground < 0:
+        return None
+    pos, relations = end + 1, []
+    for i in range(n):
+        head, end = f"rel {i} ", _eol(text, pos)
+        k = text[pos + len(head) : end]
+        if not (text.startswith(head, pos) and k.isascii() and k.isdigit() and len(k) < 19):
+            return None
+        nxt = text.find("r", end)  # one memchr, where "\nrel " would be a slow search
+        if nxt < 0:  # the last block: the rest of the text, less its final newline
+            stop = len(text) - text.endswith("\n")
+        elif text[nxt - 1] == "\n":
+            stop = nxt - 1
+        else:
+            return None
+        rel = _read_canonical(text[end + 1 : stop], int(k), ground)
+        if rel is None:
+            return None
+        relations.append(rel)
+        pos = stop + 1
+    return Instance(ground, relations) if pos >= len(text) else None
+
+
+def _eol(text: str, pos: int) -> int:
+    """Where the line at pos ends: its newline, or the end of the text."""
+    end = text.find("\n", pos)
+    return len(text) if end < 0 else end
+
+
+def _read_lines(nos: list[int], lines: list[str]) -> Instance:
+    """The instance of the numbered lines of any text, read line by line:
+    raises the ParseError that names the first bad line."""
     if not lines:
         raise ParseError(0, "empty input")
     no, header = nos[0], lines[0]
@@ -98,7 +153,7 @@ def _read_relation(
     line-by-line reader also caches its span."""
     block = lines[idx : idx + k]
     if len(block) == k:
-        rel = _read_canonical("\n".join(block), ground)
+        rel = _read_canonical("\n".join(block), k, ground)
         if rel is not None:
             return rel
     rel = Partition(_check_classes(nos, lines, idx, k, i, ground))
@@ -106,12 +161,14 @@ def _read_relation(
     return rel
 
 
-def _read_canonical(text: str, ground: int) -> Optional[Partition]:
-    """The relation whose class lines, joined by newlines, are text, if
-    there is at least one and each holds only ASCII digits and spaces and
-    is a canonical class: at least two elements, ascending, each below
-    ground and none listed twice in the relation, with the classes in
-    ascending order of their first element.  None on anything else."""
+def _read_canonical(text: str, k: int, ground: int) -> Optional[Partition]:
+    """The relation whose k class lines, joined by newlines, are text, if
+    text has k lines, each holding only ASCII digits and spaces and each a
+    canonical class: at least two elements, ascending, each below ground
+    and none listed twice in the relation, with the classes in ascending
+    order of their first element.  None on anything else."""
+    if not k:
+        return None if text else Partition(())
     if not text.isascii():
         return None
     # a newline before the first line and a space after the last, so that
@@ -124,6 +181,8 @@ def _read_canonical(text: str, ground: int) -> Optional[Partition]:
     edges = np.flatnonzero(digit[1:] != digit[:-1])
     starts, stops = edges[0::2], edges[1::2]
     firsts = np.searchsorted(starts, np.flatnonzero(newline))  # each line's first token
+    if len(firsts) != k:
+        return None
     sizes = np.diff(firsts, append=len(starts))
     # at most 18 digits, so that no value overflows int64
     if (sizes < 2).any() or (stops - starts).max() > 18:
@@ -188,30 +247,30 @@ def _class_lines(rel: Partition) -> tuple[int, bytes]:
 
 def _digit_lines(elems: np.ndarray, starts: np.ndarray) -> bytes:
     """The class lines of non-empty classes of non-negative elements, in
-    one vectorised pass.  Row j of cells holds every element's digit of
-    place value 10**(top - 1 - j), and row top its separator: a space, or
-    a newline where its class ends.  Read column by column, the cells that
+    one vectorised pass.  Column j of cells holds every element's digit of
+    place value 10**(top - 1 - j), and column top its separator: a space,
+    or a newline where its class ends.  Read row by row, the cells that
     keep marks are the lines: keep drops each element's leading zeros."""
     if not len(elems):
         return b""
     top = len(str(int(elems.max())))
-    cells = np.empty((top + 1, len(elems)), np.uint8)
-    keep = np.ones((top + 1, len(elems)), bool)
-    cells[top] = 32
-    cells[top, np.append(starts[1:], len(elems)) - 1] = 10
-    rest = elems
+    cells = np.empty((len(elems), top + 1), np.uint8)
+    keep = np.ones((len(elems), top + 1), bool)
+    cells[:, top] = 32
+    cells[np.append(starts[1:], len(elems)) - 1, top] = 10
+    rest = elems.astype(np.int32) if top < 10 else elems  # numpy divides int32 far faster than int64
     for j in range(top - 1, -1, -1):
         if j < top - 1:
-            np.greater(rest, 0, out=keep[j])
+            np.greater(rest, 0, out=keep[:, j])
         higher = rest // 10
-        cells[j] = rest - 10 * higher + 48
+        cells[:, j] = rest - 10 * higher + 48
         rest = higher
-    return cells.T[keep.T].tobytes()
+    return cells[keep].tobytes()
 
 
 def parse_matching(data: Union[bytes, str]) -> Matching:
     entries: dict[int, tuple[int, int]] = {}
-    for no, line in zip(*_lines(data)):
+    for no, line in zip(*_lines(_text(data))):
         parts = _ints(no, line.split(), "matching field")
         if len(parts) != 3:
             raise ParseError(no, f"expected 'i a b', got {line!r}")

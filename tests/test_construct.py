@@ -37,8 +37,8 @@ from grinblat.construct import (
 from grinblat.construct import charging
 from grinblat.construct.charging import _batches, _charge, _check_caps
 from grinblat.construct.lucky import _conflicting, exclusion_set
-from grinblat.construct.pipeline import _initial_state
-from grinblat.core import Instance, Matching, Partition, kernel, verify_matching
+from grinblat.construct.pipeline import DEEP_C_MIN, _initial_state
+from grinblat.core import Instance, Matching, Partition, kernel, min_kernel, verify_matching
 from grinblat.errors import (
     CompletionImpossible,
     HypothesisViolation,
@@ -914,3 +914,31 @@ def test_extend_matching_on_solved_sub_is_verified(n, c, seed, dc, data):
         assert dc > 0
         return
     assert verify_matching(inst, m).valid
+
+
+@pytest.mark.parametrize("n, c, seed, stride", [
+    (200, 64, 1, 1),
+    (100, 32, 1, 1),
+    (100, 32, 2, 1),
+    (100, 32, 3, 1),
+    # a stride prime to 16 still meets every residue of c mod 16
+    pytest.param(400, 128, 1, 5, marks=pytest.mark.slow),
+])
+def test_deep_step_keeps_its_contract_for_every_c(n, c, seed, stride):
+    # the deep-instance twin of the test above: a planted instance that runs
+    # to the final win at c, extended at every c' the hypothesis check
+    # passes, returns a verified matching, or refuses with
+    # HypothesisViolation where 16 * floor(c' / 16) is below the minimum
+    # constant; never InternalLogicError
+    inst, sub = gen_planted_concentrated(n, c, seed)
+    top = min_kernel(inst) - hypothesis_bound(n, 0)
+    assert top >= c
+    for cc in range(0, top + 1, stride):
+        tel = Telemetry()
+        try:
+            m = extend_matching(inst, sub, new_rel=0, c=cc, telemetry=tel)
+        except HypothesisViolation:
+            assert 16 * (cc // 16) < DEEP_C_MIN
+            continue
+        assert verify_matching(inst, m).valid
+        assert "final_win" in tel.phases()

@@ -2,11 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from grinblat import cli
+import formats_ref
+from grinblat import cli, formats
 from grinblat.construct import Telemetry, solve
 from grinblat.core import Instance, Matching, Partition, kernel, kernel_size
 from grinblat.errors import ParseError
@@ -17,6 +19,7 @@ from grinblat.experiment import (
     run_experiment,
 )
 from grinblat.formats import (
+    _digit_lines,
     parse_instance,
     parse_matching,
     write_instance,
@@ -82,17 +85,35 @@ class TestInstanceFormat:
         assert exc.value.line_no == 3
 
 
-def _parse_or_parse_error(data: bytes) -> None:
+def _outcome(parse, data):
     try:
-        parse_instance(data)
-    except ParseError:
-        pass
+        return parse(data)
+    except ParseError as exc:
+        return exc.line_no, str(exc)
+
+
+def _matches_reference(data) -> None:
+    # the parser gives what the reference line reader gives: an equal
+    # instance, down to its arrays and flat views, or the same ParseError;
+    # any other exception escapes and fails the test
+    got, want = _outcome(parse_instance, data), _outcome(formats_ref.parse_instance, data)
+    if isinstance(want, tuple) or isinstance(got, tuple):
+        assert got == want
+        return
+    assert (got.ground_size, got.n) == (want.ground_size, want.n)
+    for p, q in zip(got.relations, want.relations):
+        assert (p.arrays is None) == (q.arrays is None)
+        if p.arrays is not None:
+            for a, b in zip(p.arrays, q.arrays):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert p._flat == q._flat and p._marks == q._marks
+        assert p.classes == q.classes
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.binary())
 def test_parse_instance_fuzzed_bytes_raise_only_parse_error(data):
-    _parse_or_parse_error(data)
+    _matches_reference(data)
 
 
 # tokens of the format, so that fuzzed input gets past the header
@@ -103,7 +124,7 @@ _TOKENS = [b"grinblat 1 ", b"rel ", b"0", b"1", b"2", b"3", b"-1", b"99", b"x",
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.sampled_from(_TOKENS)).map(b"".join))
 def test_parse_instance_fuzzed_tokens_raise_only_parse_error(data):
-    _parse_or_parse_error(data)
+    _matches_reference(data)
 
 
 _DEFECTS = ["duplicate", "same_line_duplicate", "size_one", "out_of_range", "non_integer", "missing_line"]
@@ -169,9 +190,11 @@ def test_parse_instance_reports_injected_defect(n, c, seed, defect, comment, dat
         want = (keep, f"missing class line in relation {n - 1}")
     if comment:
         lines[0] += "  # header comment"
+    text = "\n".join(lines) + "\n"
     with pytest.raises(ParseError) as exc:
-        parse_instance("\n".join(lines) + "\n")
+        parse_instance(text)
     assert (exc.value.line_no, str(exc.value)) == (want[0], f"line {want[0]}: {want[1]}")
+    _matches_reference(text)
 
 
 _REWRITES = ["shuffle_lines", "shuffle_elements", "whitespace", "crlf", "comments", "leading_zeros"]
@@ -222,19 +245,101 @@ def test_parse_instance_non_canonical_text_gives_same_instance(n, c, seed, rewri
         parsed = parse_instance(data)
         assert parsed == inst
         assert [p.classes for p in parsed.relations] == [p.classes for p in inst.relations]
+        _matches_reference(data)
+
+
+_MIXES = ["shuffle_one", "trailing_comment", "empty_relations", "no_final_newline",
+          "blank_line", "spaces"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 5), st.integers(-3, 6), st.integers(0, 10**6),
+    st.sets(st.sampled_from(_MIXES)), st.randoms(use_true_random=False),
+)
+def test_parse_instance_mixed_text_matches_reference(n, c, seed, mixes, rnd):
+    # canonical text with a few local departures, which the walk must
+    # either read as the line reader does or hand to it whole
+    rels = list(gen_random_hypothesis(n, c, seed).relations) if n else []
+    if "empty_relations" in mixes:
+        for _ in range(rnd.randint(1, 3)):
+            rels.insert(rnd.randint(0, len(rels)), Partition([]))
+    lines = write_instance(Instance(max(1, 4 * len(rels)), rels)).decode().split("\n")[:-1]
+    heads = [at for at, line in enumerate(lines) if line.startswith("rel ")]
+    if "shuffle_one" in mixes and heads:
+        at = heads[len(heads) // 2]
+        k = int(lines[at].split()[2])
+        block = lines[at + 1 : at + 1 + k]
+        rnd.shuffle(block)
+        lines[at + 1 : at + 1 + k] = block
+    if "blank_line" in mixes:
+        lines.insert(rnd.randint(1, len(lines)), "")
+    if "spaces" in mixes:
+        at = rnd.randrange(len(lines))
+        gap = rnd.choice([" ", "  "])
+        lines[at] = rnd.choice([" ", "", "  "]) + lines[at].replace(" ", gap) + rnd.choice([" ", ""])
+    if "trailing_comment" in mixes:
+        lines.append("# end")
+    text = "\n".join(lines) + ("" if "no_final_newline" in mixes else "\n")
+    _matches_reference(text)
+    _matches_reference(text.encode())
+
+
+@pytest.mark.parametrize("text", [
+    "grinblat 1 0 5\n",
+    "grinblat 1 0 5",
+    "grinblat 1 0 5\n\n",
+    "grinblat 1 0 5\nrel 0 0\n",
+    "grinblat 1 2 4\nrel 0 0\n\nrel 1 1\n0 1\n",
+    "grinblat 1 2 4\nrel 0 0\nrel 1 0",
+    "grinblat 1 2 4\nrel 0 1\n0 1\nrel 1 1\n2 3\nrel 2 1\n0 1\n",
+    "grinblat 1 1 4\nrel 0 -1\n",
+    "grinblat 1 1 4\nrel 0 01\n0 1\n",
+    "grinblat 1 1 4\nrel 00 1\n0 1\n",
+    "grinblat 1 01 4\nrel 0 1\n0 1\n",
+    "grinblat 1 1 4 \nrel 0 1\n0 1\n",
+    "grinblat  1 1 4\nrel 0 1\n0 1\n",
+    "grinblat 1 1 -4\nrel 0 1\n0 1\n",
+    "grinblat 1 0 -4\n",
+    "grinblat 1 -1 4\n",
+    "grinblat 1 2 4\nrel 0 0\n0 1\nrel 1 1\n2 3\n",
+    "grinblat 1 1 4\nrel 0 0\n0 1\n",
+    "grinblat 1 2 4\nrel 0 1\n0 1 rel 1 1\n2 3\n",
+    "grinblat 1 2 4\nrel 0 1\n0 1\nr\nrel 1 1\n2 3\n",
+    "grinblat 1 1 4\nrel 0 2\n0 1\n",
+    "grinblat 1 1 4\nrel 0 1\n0 1\n2 3",
+    "grinblat 1 1 4\nrel 0 1\n0 1\nrel 1 1\n2 3\n",
+    "grinblat 1 1 4\nrel 0 1\n0 1\x0c\n",
+    "grinblat 1 1 4\nrel 0 1\x0b\n0 1\n",
+    "grinblat 1 1 4\nrel 0 \u0661\n0 1\n",
+    "grinblat 1 1 4\nrel 0 1\n0 \u0661\n",
+    "grinblat 1 1 4\nrel 0 1\n1 0\n",
+    "grinblat 1 1 4\nrel 0 1\n0 1 0\n",
+    "grinblat 1 1 4\nrel 0 1\n0 4\n",
+    f"grinblat 1 1 4\nrel 0 {'9' * 30}\n0 1\n",
+    f"grinblat 1 1 4\nrel 0 {'9' * 5000}\n0 1\n",
+    f"grinblat 1 1 {'9' * 5000}\nrel 0 1\n0 1\n",
+])
+def test_parse_instance_edge_text_matches_reference(text):
+    _matches_reference(text)
 
 
 def test_canonical_text_is_read_without_canonicalising(monkeypatch):
-    # every relation of write_instance's output takes the one-pass path,
-    # which builds no Partition through __init__ and keeps the checked
-    # arrays; the kernel and span read from them agree with the classes
+    # write_instance's output is walked relation by relation, never split
+    # into lines; every relation takes the one-pass path, which builds no
+    # Partition through __init__ and keeps the checked arrays; the kernel
+    # and span read from them agree with the classes
     inst = gen_random_hypothesis(6, 20, seed=3)
     data = write_instance(inst)
 
     def no_init(self, classes):
         raise AssertionError("Partition() called on canonical input")
 
+    def no_lines(text):
+        raise AssertionError("line reader called on canonical input")
+
     monkeypatch.setattr(Partition, "__init__", no_init)
+    monkeypatch.setattr(formats, "_lines", no_lines)
     parsed = parse_instance(data)
     monkeypatch.undo()
     assert parsed == inst
@@ -243,6 +348,25 @@ def test_canonical_text_is_read_without_canonicalising(monkeypatch):
         kern = frozenset(x for cl in p.classes for x in cl)
         assert kernel(p) == kern and kernel_size(p) == len(kern)
         assert p._span == (min(kern), max(kern))
+
+
+_BOUNDARIES = [0] + [v for k in range(1, 19) for v in (10**k - 1, 10**k)]
+
+
+@settings(max_examples=200, deadline=None)
+@example([_BOUNDARIES[:10], _BOUNDARIES[10:]])
+@example([[v] for v in _BOUNDARIES])
+@given(st.lists(
+    st.lists(st.one_of(st.sampled_from(_BOUNDARIES), st.integers(0, 10**18)), min_size=1, max_size=5),
+    min_size=1, max_size=8,
+))
+def test_digit_lines_match_per_class_join(classes):
+    # the vectorised writer gives the bytes of one join per class, across
+    # every change in the number of digits, 0 included
+    elems = np.array([e for cl in classes for e in cl], np.int64)
+    starts = np.cumsum([0] + [len(cl) for cl in classes[:-1]])
+    want = "".join(" ".join(map(str, cl)) + "\n" for cl in classes).encode()
+    assert _digit_lines(elems, starts) == want
 
 
 def test_non_canonical_text_is_read_with_kernel_cached():
