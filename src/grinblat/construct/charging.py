@@ -31,7 +31,7 @@ from ..errors import CompletionImpossible, InternalLogicError
 from .completion import complete_assignment
 from .state import ChargeLedger, Component, Telemetry, TrackState
 
-if TYPE_CHECKING:  # numpy is imported where it is used, as in state.position_arrays
+if TYPE_CHECKING:  # numpy is imported where it is used (see grinblat.core)
     import numpy as np
 
 

@@ -26,7 +26,7 @@ from .charging import _batches, _charge, _check_caps, _no_target
 from .completion import complete_assignment
 from .state import ChargeLedger, ChargeTables, Telemetry, TrackState
 
-if TYPE_CHECKING:  # numpy is imported where it is used, as in state.position_arrays
+if TYPE_CHECKING:  # numpy is imported where it is used (see grinblat.core)
     import numpy as np
 
 

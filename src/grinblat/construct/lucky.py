@@ -31,7 +31,7 @@ def find_lucky(
     """Pick the right-side component with the most four-charge heavy
     indices: a position's score is the number of rows of the Scheme 3
     tables that give it four charges, and the first maximum wins."""
-    import numpy as np  # where it is used, as in state.position_arrays
+    import numpy as np  # where it is used: see grinblat.core's docstring
 
     n1, first = state.n + 1, state.extent + 1
     four = tables.counts[:, first:] == 4

@@ -131,10 +131,7 @@ class TrackState:
         pos > 0.  The arrays are sized from the instance on each use, so a state
         whose instance is replaced by one with a larger ground set gets
         them rebuilt."""
-        # numpy is imported where it is used, not at module level: imported
-        # ahead of the generator, it raised the peak memory of `import
-        # grinblat` by about 1 MB
-        import numpy as np
+        import numpy as np  # where it is used: see grinblat.core's docstring
 
         if self._pos is None or len(self._pos) < self.inst.ground_size:
             comp_of = self.component_of()

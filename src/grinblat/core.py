@@ -6,6 +6,13 @@ are kept internally sorted, and the class list itself is sorted, so equal
 partitions compare equal and serialize identically.  A ``Partition`` is
 built from its classes or, by ``Partition._from_arrays``, from checked
 CSR arrays; every other view is derived on first read and kept.
+
+numpy is imported inside the functions that use arrays, never at module
+level, here and in every other module of the package.  The exact oracle,
+the witness search and the CLI's ``search`` and ``gen lower-bound`` touch
+no array, and numpy's import is most of the package's start-up time and
+memory; only the generators, the canonical reader/writer and the deep
+step load it, at their first call.
 """
 
 from __future__ import annotations
@@ -85,7 +92,7 @@ class Partition:
     def _marks(self) -> bytes:
         """One byte per element of the flat view: 1 where a class starts."""
         if self.arrays is not None:
-            import numpy as np  # not at module level, which slowed the oracle benchmark 7-10%
+            import numpy as np  # where it is used: see the module docstring
 
             elems, starts = self.arrays
             marks = np.zeros(len(elems), np.uint8)

@@ -130,28 +130,30 @@ def _run_trial(cfg: ExperimentConfig, index: int, gen_name: str, n: int, c: int)
     seed = derive_seed(cfg.master_seed, index)
     res = TrialResult(index=index, seed=seed, n=n, c=c, generator=gen_name)
     tel = Telemetry()
-    start = time.perf_counter_ns()
+    start = None  # set once the instance and its minimum kernel are built
     try:
         if gen_name == "planted":
             inst, sub = gen_planted_concentrated(n, c, seed)
             res.min_kernel = min_kernel(inst)
+            start = time.perf_counter_ns()
             extend_matching(inst, sub, new_rel=0, c=c, telemetry=tel)
             res.outcome = "matched"
         else:
             inst = gen_random_hypothesis(n, c, seed)
             res.min_kernel = min_kernel(inst)
+            start = time.perf_counter_ns()
             solved = solve(inst, c=c, n_min=cfg.n_min, telemetry=tel, exact_budget=cfg.exact_budget)
             res.outcome = solved.outcome
             res.node_count = solved.nodes
-    except InternalLogicError:
-        res.outcome = "logic-error"
+    except InternalLogicError as exc:
+        res.outcome = f"logic-error:{exc.step}"
     except HypothesisViolation:
         res.outcome = "hypothesis-violation"
     except CompletionImpossible:
         res.outcome = "completion-impossible"
     except ValueError:
         res.outcome = "invalid-input"
-    if cfg.measure_time:
+    if cfg.measure_time and start is not None:
         res.wall_nanos = time.perf_counter_ns() - start
     res.phase_reached = tel.phase_reached
     return res

@@ -24,12 +24,13 @@ Matching files hold one line ``i a b`` per relation, sorted by i.
 from __future__ import annotations
 
 from itertools import compress, count
-from typing import Optional, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Union
 
 from .core import Instance, Matching, Partition
 from .errors import ParseError
+
+if TYPE_CHECKING:  # numpy is imported where it is used (see grinblat.core)
+    import numpy as np
 
 _HEADER = "grinblat 1"
 
@@ -171,6 +172,8 @@ def _read_canonical(text: str, k: int, ground: int) -> Optional[Partition]:
         return None if text else Partition(())
     if not text.isascii():
         return None
+    import numpy as np
+
     # a newline before the first line and a space after the last, so that
     # each line follows a newline and each token has an edge on both sides
     buf = np.frombuffer(f"\n{text} ".encode("ascii"), np.uint8)
@@ -253,6 +256,8 @@ def _digit_lines(elems: np.ndarray, starts: np.ndarray) -> bytes:
     keep marks are the lines: keep drops each element's leading zeros."""
     if not len(elems):
         return b""
+    import numpy as np
+
     top = len(str(int(elems.max())))
     cells = np.empty((len(elems), top + 1), np.uint8)
     keep = np.ones((len(elems), top + 1), bool)

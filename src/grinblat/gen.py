@@ -18,10 +18,12 @@ from __future__ import annotations
 import itertools
 import math
 import random
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import Instance, Partition
+
+if TYPE_CHECKING:  # numpy is imported where it is used (see grinblat.core)
+    import numpy as np
 
 
 def gen_lower_bound_family(n: int) -> Instance:
@@ -37,6 +39,8 @@ def gen_random_hypothesis(n: int, c: int, seed: int, slack: int = 0) -> Instance
     """Uniform instances with every kernel at least ceil(16n/5) + c + slack."""
     if n < 1:
         raise ValueError("n must be positive")
+    import numpy as np
+
     bound = math.ceil(16 * n / 5) + c + slack
     ground = math.ceil(1.5 * (math.ceil(16 * n / 5) + c))
     ground = max(ground, bound + 2)
@@ -65,6 +69,8 @@ def _canon_relations(cuts: list[np.ndarray], sizes: list[np.ndarray], ground: in
     ground + element, where head is the smallest element of the element's
     class, orders the relations, the classes of each by their heads, and
     the elements within each class."""
+    import numpy as np
+
     if len(cuts) * ground * ground > np.iinfo(np.int64).max:
         raise ValueError("n * ground**2 exceeds the int64 sort key")
     counts = [len(s) for s in sizes]
@@ -116,6 +122,8 @@ def gen_planted_concentrated(
     """
     if n < 10:
         raise ValueError("planted construction needs n >= 10")
+    import numpy as np
+
     cap = planted_capacity(n)
     t = n // 5
     fresh = itertools.count().__next__  # the next unused unlabelled element

@@ -2,6 +2,9 @@
 
 import ast
 import itertools
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -480,3 +483,47 @@ def test_one_charging_pass_finds_charge_targets():
         or "identity_member" in str(getattr(node, "attr", getattr(node, "id", getattr(node, "name", ""))))
     ]
     assert uses == [("construct/charging.py", "_charge"), ("gen.py", "_canon_relations")]
+
+
+_NUMPY_FREE_PATHS = """
+import contextlib, io, sys
+
+def loaded(stage):
+    print(stage, "numpy" in sys.modules)
+
+import grinblat, grinblat.cli, grinblat.experiment, grinblat.formats
+loaded("import")
+
+from grinblat import Instance, exact_solve, gen_lower_bound_family, search_unmatchable, verify_matching
+from grinblat.formats import parse_matching, write_instance, write_matching
+family = gen_lower_bound_family(4)
+assert exact_solve(family).outcome == "proven-none"
+head = Instance(family.ground_size, family.relations[:3])
+solved = exact_solve(head)
+assert verify_matching(head, solved.matching).valid
+assert parse_matching(write_matching(solved.matching)) == solved.matching
+witness = search_unmatchable(2, 4, 5, budget=100000).witness
+write_instance(witness)
+loaded("oracle")
+
+with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())), contextlib.redirect_stderr(io.StringIO()):
+    assert grinblat.cli.main(["search", "2", "4", "5"]) == 0
+    assert grinblat.cli.main(["gen", "lower-bound", "4"]) == 0
+loaded("cli")
+
+grinblat.gen_random_hypothesis(10, 0, 1)
+loaded("generator")
+"""
+
+
+def test_oracles_and_search_start_without_numpy():
+    # numpy is imported only where arrays are used, so importing the package,
+    # the oracles on tuple-born instances and the CLI's search and gen
+    # lower-bound never load it; the uniform generator does, so the check is
+    # not vacuous.  A fresh interpreter, since this one has numpy loaded.
+    src = str(Path(grinblat.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", _NUMPY_FREE_PATHS], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.split("\n") == ["import False", "oracle False", "cli False", "generator True", ""]

@@ -8,10 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import formats_ref
-from grinblat import cli, formats
+from grinblat import cli, experiment, formats
 from grinblat.construct import Telemetry, solve
 from grinblat.core import Instance, Matching, Partition, kernel, kernel_size
-from grinblat.errors import ParseError
+from grinblat.errors import InternalLogicError, ParseError
 from grinblat.experiment import (
     CSV_HEADER,
     ExperimentConfig,
@@ -592,6 +592,17 @@ class TestExperiment:
         assert [r[4] for r in rows] == ["invalid-input", "invalid-input"]
         assert [r[5] for r in rows] == ["none", "none"]
         assert lines[-1] == "# cell generator=planted n=5 c=8 success=0/2 phases[none:2]"
+
+    def test_logic_error_row_names_its_step(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise InternalLogicError("final_win", "x")
+
+        monkeypatch.setattr(experiment, "extend_matching", fail)
+        out = run_experiment(self._cfg(trials=2, generators=("planted",)))
+        lines = out.strip().split("\n")
+        rows = [l.split(",") for l in lines[1:] if not l.startswith("#")]
+        assert [r[4] for r in rows] == ["logic-error:final_win"] * 2
+        assert lines[-1] == "# cell generator=planted n=30 c=8 success=0/2 phases[none:2]"
 
     def test_measure_time_populates_wall_nanos(self):
         out = run_experiment(self._cfg(trials=1, generators=("planted",), measure_time=True))
