@@ -3,8 +3,10 @@
 Both oracles run one search core, ``_search``: a backtracking search over
 per-relation pair choices on an explicit stack, so its depth has no limit,
 that holds each open relation's available pairs as one int, so a node
-narrows each relation in one step.  exact_solve wraps it to certify
-matchings and non-matchings of one instance at small scale.
+narrows each relation in one step, and that counts a subproblem it has
+already proven dead from a table instead of searching it again.
+exact_solve wraps it to certify matchings and non-matchings of one
+instance at small scale.
 search_unmatchable hunts for extremal witnesses: instances whose kernels
 all reach a target size yet admit no rainbow matching.  It calls the core
 once per candidate tuple on pair masks built once per candidate, and
@@ -21,6 +23,14 @@ from typing import Iterator, Optional, Sequence
 
 from .core import Instance, Matching, Partition
 
+# Entries one ``_search`` call keeps in its table of dead subproblems; a full
+# table takes no more and answers no more lookups.  A key takes one bit per
+# relation and per element: a full table of 10 relations over 18 elements
+# holds 5.3 MB (tracemalloc).  The lower-bound family at n = 9 needs 41,479
+# entries, while dense unmatchable instances add about one entry per two
+# nodes.
+DEAD_TABLE_CAP = 1 << 16
+
 
 @dataclass(frozen=True)
 class SolveResult:
@@ -32,9 +42,12 @@ class SolveResult:
 def exact_solve(inst: Instance, budget: Optional[int] = None) -> SolveResult:
     """Backtracking search; fail-first relation order, deterministic.
 
-    A node is one attempted pair assignment; budget exhaustion is an outcome,
-    never an error.  The search (``_search``) runs on an explicit stack, so
-    its depth is not bounded by Python's recursion limit.
+    A node is one attempted pair assignment, and ``nodes`` is the size of
+    the fail-first search tree up to the outcome.  Subtrees already proven
+    dead are counted from a table, not revisited (see ``_search``), so a
+    budget stops at the same node as a search that walks them.  Budget
+    exhaustion is an outcome, never an error.  The search runs on an
+    explicit stack, so its depth is not bounded by Python's recursion limit.
     """
     if inst.n == 0:
         return SolveResult("matched", Matching([]), 0)
@@ -68,19 +81,49 @@ def _search(
     open relation, and one left with none prunes the child.  These are the
     rules the list-based search had, so the nodes, their order and the
     results are the same.
+
+    Different orders of earlier choices often reach the same subproblem, so
+    the search keeps a table of dead ones.  A frame is keyed by its open
+    relations J and the elements U its path has used, packed as one int
+    (J in the low m bits, U above them).  The key is exact: each open
+    relation's pairs are its initial ones minus those touching U, and the
+    fail-first order depends only on those, so equal keys root identical
+    subtrees.  A frame exhausted without a matching records its subtree's
+    node count; a child whose key is recorded adds that count instead of
+    being searched, and a budget that the count passes stops at budget + 1,
+    as the walk would have.  A dead subtree holds no matching, so outcomes,
+    node counts, matchings and budget stops are those of the full walk.
+    Only frames with three or more open relations are keyed (one with two
+    fails within one pass).  A subproblem recurs only after two choices
+    made in either order, at depth two or more, so a search of fewer than
+    five relations, such as the witness search's at n = 3 or 4, keeps no
+    table.  At ``DEAD_TABLE_CAP`` entries the table is closed: it takes no
+    more, and frames pushed after that are not keyed, so the search goes
+    on as a plain walk.  A table fills when its subproblems seldom recur,
+    as on dense unmatchable instances: on 13 relations over 24 elements,
+    one lookup in 75 past the cap hit and a hit saved 1.3 nodes, so
+    lookups past the cap made the search 20-35% slower.
     """
-    # A frame holds the open relations in index order, the fail-first one
-    # and its untried pairs; open tuples order as fail-first picks.
+    # A frame holds the open relations in index order, the fail-first one,
+    # its untried pairs, and its mark: (key, node count when pushed), or
+    # None for an unkeyed frame.  Open tuples order as fail-first picks.
     fewest = min(opens)  # a relation without pairs leaves nothing to try
     limit = math.inf if budget is None else budget
-    chosen: list[Optional[tuple[int, int]]] = [None] * len(views)
+    m = len(views)
+    chosen: list[Optional[tuple[int, int]]] = [None] * m
     nodes = 0
-    stack = [[opens, fewest, fewest[2]]]
+    mark = None
+    if m > 4:  # with fewer relations no keyed subproblem can recur
+        dead: dict[int, int] = {}
+        mark = ((1 << m) - 1, 0)
+    stack = [[opens, fewest, fewest[2], mark]]
     while stack:
         frame = stack[-1]
-        opens, rel, untried = frame
+        opens, rel, untried, mark = frame
         if not untried:
             stack.pop()
+            if mark is not None and len(dead) < DEAD_TABLE_CAP:
+                dead[mark[0]] = nodes - mark[1]
             continue
         low = untried & -untried
         frame[2] = untried ^ low
@@ -92,6 +135,20 @@ def _search(
         if len(opens) == 1:
             return "matched", chosen, nodes
         a, b = pair
+        if mark is not None:
+            if len(opens) > 3 and len(dead) < DEAD_TABLE_CAP:
+                key = mark[0] ^ 1 << j | 1 << a + m | 1 << b + m
+                spent = dead.get(key)
+                if spent is not None:
+                    # a dead subtree: count it, and stop inside it where
+                    # walking it would pass the budget
+                    nodes += spent
+                    if nodes > limit:
+                        return "budget", None, budget + 1
+                    continue
+                mark = (key, nodes)
+            else:
+                mark = None
         child = []
         fewest = None
         for other in opens:
@@ -108,7 +165,7 @@ def _search(
             if fewest is None or other[0] < fewest[0]:
                 fewest = other
         else:
-            stack.append([child, fewest, fewest[2]])
+            stack.append([child, fewest, fewest[2], mark])
     return "proven-none", None, nodes
 
 

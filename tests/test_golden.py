@@ -13,6 +13,7 @@ an output on purpose must say why and update the digest.
 
 import hashlib
 import json
+import math
 import random
 
 import pytest
@@ -234,12 +235,18 @@ def test_exact_solve_random_digest():
 
 
 def test_exact_solve_lower_bound_family_nodes():
+    # Every relation is the same n - 1 triples, so a path of d choices takes
+    # d distinct triples in order and one of 3 pairs from each: the tree
+    # has 3^d (n-1)!/(n-1-d)! nodes at depth d = 1..n-1.  Most of them sit
+    # in dead subtrees that the search counts from its table.
     got = {}
-    for n in range(2, 7):
+    for n in range(2, 10):
         res = exact_solve(gen_lower_bound_family(n))
         assert res.outcome == "proven-none" and res.matching is None
         got[n] = res.nodes
-    assert got == {2: 3, 3: 24, 4: 225, 5: 2712, 6: 40695}
+    assert got == {n: sum(3**d * math.perm(n - 1, d) for d in range(1, n)) for n in range(2, 10)}
+    assert (got[2], got[3], got[4], got[5], got[6]) == (3, 24, 225, 2712, 40695)
+    assert (got[8], got[9]) == (15_383_109, 369_194_640)
     # a budget stops the search one node past it
     res = exact_solve(gen_lower_bound_family(5), budget=50)
     assert (res.outcome, res.nodes, res.matching) == ("budget", 51, None)

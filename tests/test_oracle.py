@@ -4,6 +4,7 @@ program solved by scipy."""
 
 import itertools
 import random
+import sys
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,9 @@ from exact_ref import exact_solve as reference_solve
 from milp_ref import milp_matching
 from grinblat.core import Instance, Partition, verify_matching
 from grinblat.gen import gen_lower_bound_family
+from grinblat import oracle
 from grinblat.oracle import SolveResult, exact_solve
+from test_acceptance import _oracle_instance
 
 
 class TestExactSolve:
@@ -152,8 +155,23 @@ def _instances(draw):
     return Instance(ground, rels)
 
 
+@st.composite
+def _shared_class_instances(draw):
+    # five to seven relations, each a nonempty set of classes from one
+    # pool, so that different orders of choices reach the same subproblem
+    # and the search counts dead ones from its table
+    ground = draw(st.integers(8, 14))
+    elems = draw(st.permutations(range(ground)))
+    sizes = draw(st.lists(st.integers(2, 3), min_size=3, max_size=6))
+    ends = list(itertools.accumulate(sizes))
+    pool = [elems[end - k : end] for k, end in zip(sizes, ends) if end <= ground]
+    picks = st.sets(st.integers(0, len(pool) - 1), min_size=1)
+    n = draw(st.integers(5, 7))
+    return Instance(ground, [Partition(pool[i] for i in sorted(draw(picks))) for _ in range(n)])
+
+
 @settings(max_examples=200, deadline=None)
-@given(_instances(), st.integers(min_value=0, max_value=60))
+@given(st.one_of(_instances(), _shared_class_instances()), st.integers(min_value=0, max_value=60))
 def test_budget_stops_one_node_past_it(inst, budget):
     # a budget at least the unbudgeted node count changes nothing; a smaller
     # one stops the search at its first node past the budget
@@ -165,12 +183,106 @@ def test_budget_stops_one_node_past_it(inst, budget):
         assert got == SolveResult("budget", None, budget + 1)
 
 
+def _relabelled(inst: Instance, rng: random.Random) -> Instance:
+    perm = rng.sample(range(inst.ground_size), inst.ground_size)
+    return Instance(inst.ground_size, [
+        Partition([perm[x] for x in cl] for cl in p.classes) for p in inst.relations
+    ])
+
+
+def test_dead_table_changes_no_result(monkeypatch):
+    # the table off (cap 0), nearly off (cap 4) and at its default cap give
+    # the same outcome, nodes and matching.  Most of the relabelled family's
+    # nodes lie in subtrees the table counts without walking, so most of
+    # the random budgets end inside one; like a walk, they stop one node
+    # past the budget, and a budget of at least the node count changes
+    # nothing.
+    rng = random.Random(20261021)
+    insts = [_relabelled(gen_lower_bound_family(n), rng) for n in range(4, 8)]
+    insts += [_padded(gen_lower_bound_family(n)) for n in range(4, 8)]
+    crit6 = random.Random(424242)
+    insts += [_oracle_instance(crit6) for _ in range(1000)]
+    for inst in insts:
+        full = exact_solve(inst)
+        for cap in (0, 4):
+            monkeypatch.setattr(oracle, "DEAD_TABLE_CAP", cap)
+            got = exact_solve(inst)
+            monkeypatch.undo()
+            assert (got.outcome, got.nodes, got.matching) == (full.outcome, full.nodes, full.matching)
+        budgets = {0, 1, 50, full.nodes - 1, full.nodes, full.nodes + 1}
+        budgets |= {rng.randrange(full.nodes + 1) for _ in range(5)}
+        for budget in budgets - {-1}:
+            got = exact_solve(inst, budget=budget)
+            assert got == (full if budget >= full.nodes else SolveResult("budget", None, budget + 1))
+
+
+def _dense_unmatchable(n: int, seed: int) -> Instance:
+    # n relations over 2n - 2 elements, each a random partition of all of
+    # them into pairs and triples: no n disjoint pairs fit, and the search
+    # must refute many mixed choices
+    ground = 2 * n - 2
+    rng = random.Random(seed)
+    rels = []
+    for _ in range(n):
+        elems = rng.sample(range(ground), ground)
+        classes, at = [], 0
+        while at < ground:
+            k = 3 if ground - at == 3 or (ground - at >= 5 and rng.random() < 0.5) else 2
+            classes.append(elems[at : at + k])
+            at += k
+        rels.append(Partition(classes))
+    return Instance(ground, rels)
+
+
+def _table_sizes(inst: Instance) -> tuple[SolveResult, list[int]]:
+    # exact_solve's result and the size of each search core call's dead
+    # table as the call returns (entries are never removed)
+    sizes = []
+
+    def on_return(frame, event, arg):
+        if event == "return":
+            sizes.append(len(frame.f_locals["dead"]))
+        return on_return
+
+    def on_call(frame, event, arg):
+        if frame.f_code is oracle._search.__code__:
+            frame.f_trace_lines = False
+            return on_return
+        return None
+
+    old = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        res = exact_solve(inst)
+    finally:
+        sys.settrace(old)
+    return res, sizes
+
+
+def test_dead_table_stays_within_its_cap(monkeypatch):
+    # 10 relations over 18 elements: uncapped, this search would keep
+    # 70,321 entries; the table fills to its cap and takes no more
+    res, sizes = _table_sizes(_dense_unmatchable(10, 28))
+    assert (res.outcome, res.nodes) == ("proven-none", 155_586)
+    assert sizes == [oracle.DEAD_TABLE_CAP]
+    small = _dense_unmatchable(9, 0)
+    res, sizes = _table_sizes(small)
+    assert sizes[0] > 100
+    monkeypatch.setattr(oracle, "DEAD_TABLE_CAP", 100)
+    capped, sizes = _table_sizes(small)
+    assert sizes == [100] and capped == res
+
+
 class TestMilpOracle:
     def test_lower_bound_family_is_infeasible(self):
-        # beyond n = 7, where exact_solve takes seconds, this verdict rests
-        # on the integer program alone
+        # exact_solve reaches the same verdict up to n = 9 (369,194,640
+        # nodes, most counted from its dead table); at n = 10 it rests on
+        # the integer program alone
         for n in range(2, 11):
-            assert milp_matching(gen_lower_bound_family(n)) is None
+            inst = gen_lower_bound_family(n)
+            assert milp_matching(inst) is None
+            if n <= 9:
+                assert exact_solve(inst).outcome == "proven-none"
 
     def test_padded_family_is_feasible(self):
         for n in range(2, 11):
