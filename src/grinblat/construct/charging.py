@@ -11,9 +11,10 @@ position * ground + element of its identity members past that position,
 so ties in position go to the smaller element.  Scheme 1
 (``build_track``) and Scheme 2 (``charge_scheme_2``) charge one row per
 call; Scheme 3 (``heavy.charge_scheme_3``) charges all heavy rows in
-batches of at most ``BLOCK_ELEMENTS`` elements.  ``_check_caps`` holds the
-caps they share: at most 4 charges per component, at most 2 from outside
-the direct set.
+batches of at most ``BLOCK_ELEMENTS`` elements.  ``_check_caps`` certifies
+the caps they share (through ``errors.certify``, like every counting check
+of the step): at most 4 charges per component, at most 2 from outside the
+direct set.
 
 The win checks here all reduce to the same test: a pair of equivalent
 elements that both avoid the right-side components lets us finish, unless
@@ -27,7 +28,7 @@ import itertools
 from typing import TYPE_CHECKING, AbstractSet, Iterator, Optional
 
 from ..core import Matching, Partition, kernel, kernel_size
-from ..errors import CompletionImpossible, InternalLogicError
+from ..errors import CompletionImpossible, InternalLogicError, certify
 from .completion import complete_assignment
 from .state import ChargeLedger, Component, Telemetry, TrackState
 
@@ -210,7 +211,7 @@ def _check_caps(step: str, counts, outside) -> None:
         over = (np.asarray(values) > cap).nonzero()[0]
         if len(over):
             p = int(over[0])
-            raise InternalLogicError(step, f"position {p} got {values[p]} > {cap} {what}")
+            certify(step, f"{what} at position {p} <= {cap}", int(values[p]), "<=", cap)
 
 
 def build_track(state: TrackState, telemetry: Optional[Telemetry] = None):
@@ -234,12 +235,8 @@ def build_track(state: TrackState, telemetry: Optional[Telemetry] = None):
         )
         if len(stuck):
             raise _no_target("charge_scheme_1", state, pos, int(batch.x[stuck[0]]))
-        total = int(counts.sum())
-        ksize = kernel_size(state.relation_at(pos))
-        if total != ksize:
-            raise InternalLogicError(
-                "charge_scheme_1", f"charge total {total} != kernel size {ksize}"
-            )
+        certify("charge_scheme_1", "charge total == |K|", int(counts.sum()), "==",
+                kernel_size(state.relation_at(pos)))
         _check_caps("charge_scheme_1", counts[0], outside[0])
         four = (counts[0, state.extent + 1 :] == 4).nonzero()[0]
         if not len(four):
@@ -250,10 +247,7 @@ def build_track(state: TrackState, telemetry: Optional[Telemetry] = None):
         chosen = state.extent + 1 + int(four[0])
         at = to == chosen
         outs = list(zip(xs[at].tolist(), partners[at].tolist()))
-        if len(outs) != 2:
-            raise InternalLogicError(
-                "build_track", f"four-charge component has {len(outs)} outsiders, expected 2"
-            )
+        certify("build_track", "outsiders of the four-charge component == 2", len(outs), "==", 2)
         comp = state.comps[chosen]
         c = next(x for x, part in outs if part == comp.a)
         d = next(x for x, part in outs if part == comp.b)
@@ -271,8 +265,7 @@ def charge_scheme_2(state: TrackState, telemetry: Optional[Telemetry] = None):
     import numpy as np
 
     n, t = state.n, state.t
-    if state.extent != t:
-        raise InternalLogicError("charge_scheme_2", f"track extent {state.extent} != t {t}")
+    certify("charge_scheme_2", "track extent == t", state.extent, "==", t)
     comp_of = state.component_of()
     b = state.b_set
     relt = state.relation_at(t)
@@ -361,12 +354,8 @@ def _hist(values) -> dict[int, int]:
 
 def _validate_ledger(state: TrackState, ledger: ChargeLedger) -> None:
     n, t = state.n, state.t
-    k1 = len(kernel(state.relation_at(1)))
-    kt = len(kernel(state.relation_at(t)))
-    if sum(ledger.sigma) != k1:
-        raise InternalLogicError("ledger", f"sum sigma {sum(ledger.sigma)} != |K_1| {k1}")
-    if sum(ledger.tau) != kt:
-        raise InternalLogicError("ledger", f"sum tau {sum(ledger.tau)} != |K_t| {kt}")
+    certify("ledger", "sum sigma == |K_1|", sum(ledger.sigma), "==", kernel_size(state.relation_at(1)))
+    certify("ledger", "sum tau == |K_t|", sum(ledger.tau), "==", kernel_size(state.relation_at(t)))
     seen_s: set[int] = set()
     seen_t: set[int] = set()
     membership: dict[int, int] = {}
@@ -398,17 +387,9 @@ def _validate_ledger(state: TrackState, ledger: ChargeLedger) -> None:
 def heavy_indices(state: TrackState, ledger: ChargeLedger, c: int) -> list[int]:
     """Right-side heavy positions, with the counting checks of the argument."""
     heavy_all = ledger.heavy_left() + ledger.heavy_right()
-    if 5 * len(heavy_all) < state.n + 5 * c:
-        raise InternalLogicError(
-            "heavy_indices",
-            f"{len(heavy_all)} heavy components < n/5 + c = {state.n / 5 + c}",
-        )
+    certify("heavy_indices", "5|H| >= n + 5c", 5 * len(heavy_all), ">=", state.n + 5 * c)
     h = ledger.heavy_right()
-    if 5 * len(h) < state.n + 5 * (c - 4):
-        raise InternalLogicError(
-            "heavy_indices",
-            f"{len(h)} right-side heavy components < n/5 + c - 4",
-        )
+    certify("heavy_indices", "5|H_right| >= n + 5(c - 4)", 5 * len(h), ">=", state.n + 5 * (c - 4))
     return h
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from ..core import kernel, kernel_size
-from ..errors import CompletionImpossible, InternalLogicError
+from ..errors import CompletionImpossible, InternalLogicError, certify
 from .charging import _batches, _charge, _check_caps, _no_target
 from .completion import complete_assignment
 from .state import ChargeLedger, ChargeTables, Telemetry, TrackState
@@ -186,14 +186,9 @@ def charge_scheme_3(
             xs = x[stuck[stuck_rows == r]]
             if len(xs):
                 raise _no_target("charge_scheme_3", state, i, int(xs[0]))
-            if n_held[r] > 6:
-                raise InternalLogicError(
-                    "charge_scheme_3", f"{n_held[r]} uncharged elements for position {i}, cap is 6"
-                )
-            if covered[r] != kernel_size(state.relation_at(i)):
-                raise InternalLogicError(
-                    "charge_scheme_3", f"charge accounting off for position {i}: {covered[r]}"
-                )
+            certify("charge_scheme_3", f"held elements of K_{i} <= 6", int(n_held[r]), "<=", 6)
+            certify("charge_scheme_3", f"charged + held + skipped elements == |K_{i}|",
+                    int(covered[r]), "==", kernel_size(state.relation_at(i)))
             _check_caps("charge_scheme_3", row_counts[r], outside[r])
         counts.append(row_counts)
         order = np.argsort(outs[0] * n1 + outs[1], kind="stable")  # runs keep visit order

@@ -16,7 +16,7 @@ import math
 from typing import Optional
 
 from ..core import Matching
-from ..errors import CompletionImpossible, InternalLogicError
+from ..errors import CompletionImpossible, InternalLogicError, certify
 from .charging import direct_pair
 from .completion import complete_assignment
 from .heavy import pick_heavy_pair_elements
@@ -35,15 +35,10 @@ def find_lucky(
 
     n1, first = state.n + 1, state.extent + 1
     four = tables.counts[:, first:] == 4
-    if not four.shape[1]:
-        raise InternalLogicError("find_lucky", "no right-side positions")
+    certify("find_lucky", "right-side positions >= 1", four.shape[1], ">=", 1)
     best_pos = first + int(np.argmax(four.sum(axis=0)))
     rows = np.flatnonzero(four[:, best_pos - first])
-    if 4 * len(rows) < c - 10:
-        raise InternalLogicError(
-            "find_lucky",
-            f"lucky component at {best_pos} has {len(rows)} four-charge indices < (c-10)/4",
-        )
+    certify("find_lucky", f"4|four-charge rows at {best_pos}| >= c - 10", 4 * len(rows), ">=", c - 10)
     rows = rows[: max(0, math.ceil((c - 10) / 4))]
     hprime = tuple(tables.heavy[r] for r in rows.tolist())
     # each kept row's outsiders at best_pos: a run of the sorted table
@@ -54,10 +49,7 @@ def find_lucky(
     W: dict[int, tuple[int, int]] = {}
     bprime = state.bprime_set
     for k, a, b in zip(hprime, lo, hi):
-        if b - a != 2:
-            raise InternalLogicError(
-                "find_lucky", f"four-charge component lacks two outside {k}-charges"
-            )
+        certify("find_lucky", f"outside {k}-charges at {best_pos} == 2", b - a, "==", 2)
         w = (int(out[a, 2]), int(out[a + 1, 2]))
         if set(w) & bprime:
             raise InternalLogicError("find_lucky", f"witness set {w} meets B'")
@@ -167,15 +159,6 @@ def exclusion_set(state: TrackState, ledger: ChargeLedger, lucky: LuckyData) -> 
         y.update(lucky.W[k])
         y.update(ledger.U(k))
     return frozenset(y)
-
-
-def _check_exclusion_bound(state: TrackState, y: frozenset[int], c: int) -> None:
-    # |Y| <= 2(n - t) + c/8 + c/4, checked in eighths to stay exact
-    if 8 * len(y) > 16 * (state.n - state.t) + 3 * c:
-        raise InternalLogicError(
-            "final_win",
-            f"exclusion set size {len(y)} exceeds 2(n-t) + 3c/8 bound",
-        )
 
 
 def _free_pair(state: TrackState, lucky: LuckyData, y: frozenset[int]) -> tuple[int, int]:
@@ -296,7 +279,8 @@ def final_win(
 ) -> Matching:
     """Close the matching from the lucky component's witness structure."""
     y = exclusion_set(state, ledger, lucky)
-    _check_exclusion_bound(state, y, c)
+    # |Y| <= 2(n - t) + c/8 + c/4, checked in eighths to stay exact
+    certify("final_win", "8|Y| <= 16(n - t) + 3c", 8 * len(y), "<=", 16 * (state.n - state.t) + 3 * c)
     pair = _free_pair(state, lucky, y)
     x, yy = pair
     comp_of = state.component_of()

@@ -71,7 +71,7 @@ def _initial_state(
     comps = {}
     for pos, i in enumerate(perm[2:], start=2):
         a, b = sorted(sub[i])
-        comps[pos] = Component(pos=pos, a=a, b=b)
+        comps[pos] = Component(a=a, b=b)
     return TrackState(inst, perm, comps)
 
 
@@ -113,8 +113,9 @@ def extend_matching(
         return _finish(state, m)
 
     if state.t < 2:
-        # too small for a track; the hypothesis makes this unreachable, but
-        # fixtures can get here, so hand off to the exact solver
+        # too small for a track (n < 10), so hand off to the exact solver.
+        # With no direct pair |K_1| <= 4(n - 1), so the hypothesis admits
+        # this for 5 <= n <= 9 whenever c <= 4n/5 - 4
         res = exact_solve(inst)
         if telemetry:
             telemetry.record("exact_fallback", outcome=res.outcome, nodes=res.nodes)

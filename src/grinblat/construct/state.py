@@ -27,7 +27,6 @@ if TYPE_CHECKING:
 class Component:
     """Identity pair (a, b), plus the cross pair (c, d) on left-side components."""
 
-    pos: int
     a: int
     b: int
     c: Optional[int] = None
@@ -148,7 +147,6 @@ class TrackState:
             return
         self.perm[p], self.perm[q] = self.perm[q], self.perm[p]
         cp, cq = self.comps[p], self.comps[q]
-        cp.pos, cq.pos = q, p
         self.comps[p], self.comps[q] = cq, cp
         if self._comp_of is not None:
             for x in cp.elements:

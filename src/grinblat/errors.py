@@ -1,5 +1,7 @@
 """Exception types shared across the solver suite."""
 
+import operator
+
 
 class GrinblatError(Exception):
     """Base class for all errors raised by this package."""
@@ -20,6 +22,17 @@ class InternalLogicError(GrinblatError):
         self.step = step
         self.detail = detail
         super().__init__(f"{step}: {detail}" if detail else step)
+
+
+_OPS = {"<=": operator.le, ">=": operator.ge, "==": operator.eq}
+
+
+def certify(step: str, name: str, lhs, op: str, rhs) -> None:
+    """Check one counting inequality of the argument, ``lhs op rhs`` with
+    ``op`` one of "<=", ">=" and "==".  If it fails, raise
+    InternalLogicError(step) naming the inequality and both sides."""
+    if not _OPS[op](lhs, rhs):
+        raise InternalLogicError(step, f"{name} fails: {lhs} {op} {rhs}")
 
 
 class CompletionImpossible(GrinblatError):

@@ -108,9 +108,9 @@ def gen_fixture_ledger(spec: FixtureSpec) -> tuple[TrackState, ChargeLedger]:
     comps = {}
     for p in range(2, n + 1):
         if p <= t:
-            comps[p] = Component(pos=p, a=a[p], b=b[p], c=cc[p], d=d[p])
+            comps[p] = Component(a=a[p], b=b[p], c=cc[p], d=d[p])
         else:
-            comps[p] = Component(pos=p, a=a[p], b=b[p])
+            comps[p] = Component(a=a[p], b=b[p])
     state = TrackState(inst, list(range(-1, n)), comps, extent=t)
 
     kind, payload = charge_scheme_2(state)

@@ -43,6 +43,7 @@ from grinblat.errors import (
     CompletionImpossible,
     HypothesisViolation,
     InternalLogicError,
+    certify,
 )
 from grinblat.gen import gen_planted_concentrated, gen_random_hypothesis
 
@@ -251,7 +252,6 @@ class TestBuildTrack:
 def _assert_sets_current(state):
     """The maintained derived sets equal a rebuild from comps and extent."""
     comps = state.comps
-    assert all(comps[p].pos == p for p in comps)
     b = {e for p in range(2, state.n + 1) for e in (comps[p].a, comps[p].b)}
     cross = {e for p in state.left_positions() for e in (comps[p].c, comps[p].d)}
     right = {e for p in state.right_positions() for e in (comps[p].a, comps[p].b)}
@@ -301,7 +301,7 @@ def test_position_arrays_follow_swaps_and_growth(data):
     # after any sequence of swaps and track growth, and an instance swapped
     # for one with a larger ground set, the arrays equal a rebuild from comps
     n = data.draw(st.integers(3, 12))
-    comps = {p: Component(pos=p, a=2 * p, b=2 * p + 1) for p in range(2, n + 1)}
+    comps = {p: Component(a=2 * p, b=2 * p + 1) for p in range(2, n + 1)}
     cross = iter(range(2 * n + 2, 4 * n))
     state = TrackState(Instance(4 * n, [Partition([])] * n), [-1, *range(n)], comps)
     state.position_arrays()
@@ -400,14 +400,30 @@ class TestChargingPass:
         assert err.value.step == "charge_scheme_3"
         assert "no charge target" in err.value.detail
 
-    @pytest.mark.parametrize("counts, outside", [
-        ([0, 0, 5], [0, 0, 0]),
-        ([0, 0, 3], [0, 0, 3]),
+    @pytest.mark.parametrize("counts, outside, detail", [
+        ([0, 0, 5], [0, 0, 0], "charges at position 2 <= 4 fails: 5 <= 4"),
+        ([0, 0, 3], [0, 0, 3], "outside charges at position 2 <= 2 fails: 3 <= 2"),
     ], ids=["five-charges", "three-outsiders"])
-    def test_caps_raise_with_the_scheme_step(self, counts, outside):
+    def test_caps_raise_with_the_scheme_step(self, counts, outside, detail):
+        _check_caps("charge_scheme_1", [0, 0, 4], [0, 0, 2])  # both caps met exactly
         with pytest.raises(InternalLogicError) as err:
             _check_caps("charge_scheme_1", counts, outside)
-        assert err.value.step == "charge_scheme_1"
+        assert (err.value.step, err.value.detail) == ("charge_scheme_1", detail)
+
+
+@pytest.mark.parametrize("op, holds, fails", [
+    ("<=", [4, 5], [6]),
+    (">=", [6, 5], [4]),
+    ("==", [5], [4, 6]),
+])
+def test_certify_holds_to_its_boundary_and_fails_one_past(op, holds, fails):
+    for lhs in holds:
+        certify("charge_scheme_3", f"x {op} 5", lhs, op, 5)
+    for lhs in fails:
+        with pytest.raises(InternalLogicError) as err:
+            certify("charge_scheme_3", f"x {op} 5", lhs, op, 5)
+        assert err.value.step == "charge_scheme_3"
+        assert err.value.detail == f"x {op} 5 fails: {lhs} {op} 5"
 
 
 @st.composite
@@ -426,8 +442,8 @@ def charging_cases(draw):
     comps = {}
     for p in range(2, n + 1):
         a, b = next(it), next(it)
-        comps[p] = (Component(pos=p, a=a, b=b, c=next(it), d=next(it)) if p <= extent
-                    else Component(pos=p, a=a, b=b))
+        comps[p] = (Component(a=a, b=b, c=next(it), d=next(it)) if p <= extent
+                    else Component(a=a, b=b))
     rows = draw(st.lists(st.integers(1, n), min_size=1, max_size=4, unique=True))
     relations = [Partition([]) for _ in range(n)]
     for p in rows:
@@ -759,6 +775,22 @@ class TestLuckyAnalysis:
         assert lucky.hprime == (10, 11)
         assert lucky.W[10] == (1000, 1001)
 
+    def test_find_lucky_counts_hold_to_their_boundaries(self):
+        # the right side is the positions past the extent: one right-side
+        # position with one four-charge row meets 4|rows| >= c - 10 at c = 14
+        state, ledger = base_state()
+        state.extent = state.n - 1
+        n = state.n
+        tables = tables_from_dicts(n, {7: {n: (4, ((900, state.comps[n].a), (901, state.comps[n].b)))}})
+        assert find_lucky(state, ledger, tables, c=14).hprime == (7,)
+        with pytest.raises(InternalLogicError) as err:
+            find_lucky(state, ledger, tables, c=15)
+        assert str(err.value) == "find_lucky: 4|four-charge rows at 30| >= c - 10 fails: 4 >= 5"
+        state.extent = n
+        with pytest.raises(InternalLogicError) as err:
+            find_lucky(state, ledger, tables, c=14)
+        assert str(err.value) == "find_lucky: right-side positions >= 1 fails: 0 >= 1"
+
     def test_find_lucky_rejects_witness_in_bprime(self):
         state, ledger = base_state()
         bad = state.comps[2].a
@@ -769,8 +801,9 @@ class TestLuckyAnalysis:
     def test_exclusion_bound_violation_detected(self):
         state, ledger, W = fixtures.jstar_unlucky()
         lucky = LuckyData(jstar=10, hprime=(11, 12), W=W, hsecond=(11, 12))
-        with pytest.raises(InternalLogicError):
+        with pytest.raises(InternalLogicError) as err:
             final_win(state, ledger, lucky, (11, 12), c=0)
+        assert str(err.value) == "final_win: 8|Y| <= 16(n - t) + 3c fails: 448 <= 384"
 
 
 class TestFinalWin:
@@ -852,6 +885,33 @@ class TestExtendMatching:
         assert kind == "ledger"
         h = heavy_indices(state, ledger, c=32)
         assert 5 * (len(h) + len(ledger.heavy_left())) >= state.n + 5 * 32
+        assert heavy_indices(state, ledger, c=60) == h  # 80 heavy: 5|H| = n + 5c exactly
+        for c, rhs in ((61, 405), (1000, 5100)):
+            with pytest.raises(InternalLogicError) as err:
+                heavy_indices(state, ledger, c=c)
+            assert str(err.value) == f"heavy_indices: 5|H| >= n + 5c fails: 400 >= {rhs}"
+
+    def test_right_heavy_count_holds_to_its_boundary(self):
+        # five heavy left components and no right one, n = 30
+        state, ledger = fixtures.five_heavy_case1()
+        assert heavy_indices(state, ledger, c=-2) == []  # 5|H_right| = 0 = n + 5(c - 4)
+        with pytest.raises(InternalLogicError) as err:
+            heavy_indices(state, ledger, c=-1)
+        assert str(err.value) == "heavy_indices: 5|H_right| >= n + 5(c - 4) fails: 0 >= 5"
+
+    def test_small_n_falls_back_to_exact_under_the_hypothesis(self):
+        # n = 5 gives t = 1, too small for a track.  Relation 0 pairs each of
+        # the 8 elements of B with a fresh one, so it has no direct pair and
+        # |K_1| = 16 = 4(n - 1) meets ceil(16n/5) + c exactly at c = 0
+        rels = [Partition([(b, 8 + b) for b in range(8)])] + [Partition([tuple(range(16))])] * 4
+        inst = Instance(16, rels)
+        sub = {k: (2 * k - 2, 2 * k - 1) for k in range(1, 5)}
+        tel = Telemetry()
+        m = extend_matching(inst, sub, new_rel=0, c=0, telemetry=tel)
+        assert tel.phases() == ["exact_fallback"]
+        assert verify_matching(inst, m).valid
+        with pytest.raises(HypothesisViolation):
+            extend_matching(inst, sub, new_rel=0, c=1)
 
 
 def _some_sub(inst):
