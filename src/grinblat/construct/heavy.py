@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from ..core import kernel, kernel_size
+from ..core import kernel
 from ..errors import CompletionImpossible, InternalLogicError, certify
 from .charging import _batches, _charge, _check_caps, _no_target
 from .completion import complete_assignment
@@ -28,6 +28,9 @@ from .state import ChargeLedger, ChargeTables, Telemetry, TrackState
 
 if TYPE_CHECKING:  # numpy is imported where it is used (see grinblat.core)
     import numpy as np
+
+# Elements of one heavy kernel that Scheme 3 may hold uncharged.
+HELD_CAP = 6
 
 
 def tainted_left(state: TrackState, ledger: ChargeLedger, i: int) -> set[int]:
@@ -165,9 +168,9 @@ def charge_scheme_3(
         stuck_rows = row[stuck]
         n_held = np.bincount(row[held], minlength=k)
         covered = row_counts.sum(axis=1) + n_held + np.bincount(row[skip], minlength=k)
+        size = np.bincount(row, minlength=k)  # |K_i|: a row lists each kernel element once
         bad = (
-            (np.bincount(stuck_rows, minlength=k) > 0) | (n_held > 6)
-            | (covered != np.bincount(row, minlength=k))
+            (np.bincount(stuck_rows, minlength=k) > 0) | (n_held > HELD_CAP) | (covered != size)
             | (row_counts > 4).any(axis=1) | (outside > 2).any(axis=1)
         )
         for r in np.flatnonzero((fresh > 0) | (untainted > 0) | bad).tolist():
@@ -186,9 +189,9 @@ def charge_scheme_3(
             xs = x[stuck[stuck_rows == r]]
             if len(xs):
                 raise _no_target("charge_scheme_3", state, i, int(xs[0]))
-            certify("charge_scheme_3", f"held elements of K_{i} <= 6", int(n_held[r]), "<=", 6)
+            certify("charge_scheme_3", f"held elements of K_{i} <= {HELD_CAP}", int(n_held[r]), "<=", HELD_CAP)
             certify("charge_scheme_3", f"charged + held + skipped elements == |K_{i}|",
-                    int(covered[r]), "==", kernel_size(state.relation_at(i)))
+                    int(covered[r]), "==", int(size[r]))
             _check_caps("charge_scheme_3", row_counts[r], outside[r])
         counts.append(row_counts)
         order = np.argsort(outs[0] * n1 + outs[1], kind="stable")  # runs keep visit order

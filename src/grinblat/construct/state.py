@@ -14,23 +14,21 @@ arrays, one row per heavy index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-from ..core import Instance, Partition
+from ..core import Instance, Partition, Record
 
 if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass
-class Component:
+class Component(Record):
     """Identity pair (a, b), plus the cross pair (c, d) on left-side components."""
 
-    a: int
-    b: int
-    c: Optional[int] = None
-    d: Optional[int] = None
+    _fields = ("a", "b", "c", "d")
+
+    def __init__(self, a: int, b: int, c: Optional[int] = None, d: Optional[int] = None):
+        self.a, self.b, self.c, self.d = a, b, c, d
 
     @property
     def is_left(self) -> bool:
@@ -187,18 +185,30 @@ class TrackState:
         return f"n={self.n} t={self.t} extent={self.extent} perm[:6]={self.perm[:6]} comps={comps}..."
 
 
-@dataclass
-class ChargeLedger:
-    """Per-component charge counts and sets from the 1-/t-charging pass."""
+class ChargeLedger(Record):
+    """Per-component charge counts and sets from the 1-/t-charging pass.
 
-    n: int
-    t: int
-    sigma: list[int]  # indexed by position; [0..1] unused
-    tau: list[int]
-    S: dict[int, tuple[int, ...]]  # non-identity elements 1-charged to the position
-    T: dict[int, tuple[int, ...]]
-    one_partner: dict[int, int]  # charged element -> identity element it is 1-equivalent to
-    t_partner: dict[int, int]
+    ``sigma`` and ``tau`` are indexed by position ([0..1] unused); ``S``
+    and ``T`` map a position to the non-identity elements 1- and
+    t-charged to it; ``one_partner`` and ``t_partner`` map a charged
+    element to the identity element it is 1- or t-equivalent to.
+    """
+
+    _fields = ("n", "t", "sigma", "tau", "S", "T", "one_partner", "t_partner")
+
+    def __init__(
+        self,
+        n: int,
+        t: int,
+        sigma: list[int],
+        tau: list[int],
+        S: dict[int, tuple[int, ...]],
+        T: dict[int, tuple[int, ...]],
+        one_partner: dict[int, int],
+        t_partner: dict[int, int],
+    ):
+        self.n, self.t, self.sigma, self.tau = n, t, sigma, tau
+        self.S, self.T, self.one_partner, self.t_partner = S, T, one_partner, t_partner
 
     def U(self, pos: int) -> tuple[int, ...]:
         s = self.S.get(pos, ())
@@ -225,29 +235,32 @@ class ChargeTables:
     position ``heavy[r]`` gives position p.  Each row of ``outsiders`` is
     (row, position, element, identity partner) for an element charged from
     outside the direct set; the rows are sorted by row, then position, then
-    the order the pass visits the elements in.  (A plain class: a
-    dataclass costs more at import than the whole class body.)
+    the order the pass visits the elements in.  (A plain class, as the
+    records are: see ``grinblat.core``.)
     """
 
     def __init__(self, heavy: tuple[int, ...], counts: np.ndarray, outsiders: np.ndarray):
         self.heavy, self.counts, self.outsiders = heavy, counts, outsiders
 
 
-@dataclass
-class LuckyData:
+class LuckyData(Record):
     """Lucky component and witness sets of the final phase."""
 
-    jstar: int
-    hprime: tuple[int, ...]
-    W: dict[int, tuple[int, int]]
-    hsecond: tuple[int, ...] = ()
+    _fields = ("jstar", "hprime", "W", "hsecond")
+
+    def __init__(
+        self, jstar: int, hprime: tuple[int, ...], W: dict[int, tuple[int, int]], hsecond: tuple[int, ...] = ()
+    ):
+        self.jstar, self.hprime, self.W, self.hsecond = jstar, hprime, W, hsecond
 
 
-@dataclass
-class Telemetry:
+class Telemetry(Record):
     """Structured step log emitted by one solve."""
 
-    events: list[dict] = field(default_factory=list)
+    _fields = ("events",)
+
+    def __init__(self, events: Optional[list[dict]] = None):
+        self.events = [] if events is None else events
 
     def record(self, phase: str, **details) -> None:
         self.events.append({"phase": phase, **details})

@@ -13,12 +13,21 @@ the witness search and the CLI's ``search`` and ``gen lower-bound`` touch
 no array, and numpy's import is most of the package's start-up time and
 memory; only the generators, the canonical reader/writer and the deep
 step load it, at their first call.
+
+The package's record classes are plain subclasses of ``Record`` and
+``FrozenRecord`` below, not dataclasses: ``import dataclasses`` loads
+``inspect``, and ``@dataclass`` compiles generated source for each class,
+which together cost about a third of ``import grinblat`` when no bytecode
+cache is written.  A record names its fields in ``_fields`` and writes its
+own ``__init__``.  A frozen record's ``__init__`` sets each field with
+``object.__setattr__``, as ``@dataclass(frozen=True)`` does: a shared helper
+looping over ``_fields`` costs about 0.5 us more per record, and ``solve``
+builds several.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
@@ -36,6 +45,44 @@ def _class_marks(size: int) -> bytes:
     return b"\x01".ljust(size, b"\x00")[:size]
 
 
+class FrozenRecordError(AttributeError):
+    """A field of a frozen record was assigned or deleted."""
+
+
+class Record:
+    """Equality and ``repr`` over the fields named in ``_fields``, as
+    ``@dataclass`` writes them: records of one class are equal when their
+    field tuples are, and a record of another class compares as
+    NotImplemented.  A mutable record is unhashable."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class FrozenRecord(Record):
+    """An immutable record, hashed by its field tuple."""
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenRecordError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenRecordError(f"cannot delete field {name!r}")
+
+
 class _view:
     """functools.cached_property without the lock CPython 3.11 takes on
     each first read, which the deep step makes for every relation."""
@@ -50,13 +97,14 @@ class _view:
         return view
 
 
-class Partition:
+class Partition(FrozenRecord):
     """One equivalence relation, given by its nontrivial classes: the
     tuple ``classes`` of sorted tuples, in order of their first element.
     A partition is immutable.  ``arrays`` holds the CSR arrays (compressed
     sparse rows) it was built from, if any: the int64 elements in class
     order and the int64 offset where each class starts."""
 
+    _fields = ("classes",)
     arrays: Optional[tuple[np.ndarray, np.ndarray]] = None
 
     def __init__(self, classes: Iterable[Iterable[int]]):
@@ -153,17 +201,7 @@ class Partition:
             return all(len(a) == len(b) and (a == b).all() for a, b in zip(self.arrays, other.arrays))
         return self.classes == other.classes
 
-    def __hash__(self) -> int:
-        return hash((self.classes,))
-
-    def __repr__(self) -> str:
-        return f"Partition(classes={self.classes!r})"
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+    __hash__ = FrozenRecord.__hash__  # a class that defines __eq__ gets None otherwise
 
     def validate(self, ground_size: int) -> None:
         """Raise ValueError naming the first bad class or element; O(1)
@@ -203,12 +241,10 @@ def kernel_size(p: Partition) -> int:
     return p._kernel_size
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(FrozenRecord):
     """Ground set size plus n partitions; the problem input."""
 
-    ground_size: int
-    relations: tuple[Partition, ...]
+    _fields = ("ground_size", "relations")
 
     def __init__(self, ground_size: int, relations: Iterable[Partition]):
         object.__setattr__(self, "ground_size", ground_size)
@@ -225,11 +261,13 @@ class Instance:
             p.validate(self.ground_size)
 
 
-@dataclass(frozen=True)
-class KernelInfo:
+class KernelInfo(FrozenRecord):
     """Per-relation kernel sets and their sizes."""
 
-    kernels: tuple[frozenset[int], ...]
+    _fields = ("kernels",)
+
+    def __init__(self, kernels: tuple[frozenset[int], ...]):
+        object.__setattr__(self, "kernels", kernels)
 
     @classmethod
     def of(cls, inst: Instance) -> "KernelInfo":
@@ -240,21 +278,22 @@ class KernelInfo:
         return tuple(len(k) for k in self.kernels)
 
 
-@dataclass(frozen=True)
-class Matching:
+class Matching(FrozenRecord):
     """One ordered pair per relation; the certificate of success."""
 
-    pairs: tuple[tuple[int, int], ...]
+    _fields = ("pairs",)
 
     def __init__(self, pairs: Iterable[Sequence[int]]):
         object.__setattr__(self, "pairs", tuple(tuple(p) for p in pairs))
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    valid: bool
-    violation: Optional[str] = None
-    index: Optional[int] = None
+class VerifyReport(FrozenRecord):
+    _fields = ("valid", "violation", "index")
+
+    def __init__(self, valid: bool, violation: Optional[str] = None, index: Optional[int] = None):
+        object.__setattr__(self, "valid", valid)
+        object.__setattr__(self, "violation", violation)
+        object.__setattr__(self, "index", index)
 
 
 def verify_matching(inst: Instance, m: Matching) -> VerifyReport:

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
 from typing import Union
 
 from .construct import Telemetry, extend_matching, solve
-from .core import min_kernel
+from .core import FrozenRecord, Record, min_kernel
 from .errors import CompletionImpossible, GrinblatError, HypothesisViolation, InternalLogicError
 from .gen import gen_planted_concentrated, gen_random_hypothesis
 
@@ -24,16 +23,28 @@ CSV_HEADER = "seed,n,c,min_kernel,outcome,phase_reached,wall_nanos,node_count"
 _GENERATORS = ("uniform", "planted")
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    master_seed: int
-    ns: tuple[int, ...]
-    cs: tuple[int, ...]
-    trials: int
-    generators: tuple[str, ...] = _GENERATORS
-    n_min: int = 30
-    exact_budget: int = 10_000_000
-    measure_time: bool = False  # wall_nanos written as 0 when off, for byte-stable reports
+class ExperimentConfig(FrozenRecord):
+    _fields = ("master_seed", "ns", "cs", "trials", "generators", "n_min", "exact_budget", "measure_time")
+
+    def __init__(
+        self,
+        master_seed: int,
+        ns: tuple[int, ...],
+        cs: tuple[int, ...],
+        trials: int,
+        generators: tuple[str, ...] = _GENERATORS,
+        n_min: int = 30,
+        exact_budget: int = 10_000_000,
+        measure_time: bool = False,  # wall_nanos written as 0 when off, for byte-stable reports
+    ):
+        object.__setattr__(self, "master_seed", master_seed)
+        object.__setattr__(self, "ns", ns)
+        object.__setattr__(self, "cs", cs)
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "n_min", n_min)
+        object.__setattr__(self, "exact_budget", exact_budget)
+        object.__setattr__(self, "measure_time", measure_time)
 
     @classmethod
     def from_json(cls, text: Union[str, bytes]) -> "ExperimentConfig":
@@ -96,18 +107,27 @@ def derive_seed(master: int, index: int) -> int:
     return z ^ (z >> 31)
 
 
-@dataclass
-class TrialResult:
-    index: int
-    seed: int
-    n: int
-    c: int
-    generator: str
-    min_kernel: int = 0
-    outcome: str = "logic-error"
-    phase_reached: str = "none"
-    wall_nanos: int = 0
-    node_count: int = 0
+class TrialResult(Record):
+    _fields = (
+        "index", "seed", "n", "c", "generator", "min_kernel", "outcome", "phase_reached", "wall_nanos", "node_count"
+    )
+
+    def __init__(
+        self,
+        index: int,
+        seed: int,
+        n: int,
+        c: int,
+        generator: str,
+        min_kernel: int = 0,
+        outcome: str = "logic-error",
+        phase_reached: str = "none",
+        wall_nanos: int = 0,
+        node_count: int = 0,
+    ):
+        self.index, self.seed, self.n, self.c, self.generator = index, seed, n, c, generator
+        self.min_kernel, self.outcome, self.phase_reached = min_kernel, outcome, phase_reached
+        self.wall_nanos, self.node_count = wall_nanos, node_count
 
     def row(self) -> str:
         return (

@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .core import Instance, Matching, Partition
+from .core import FrozenRecord, Instance, Matching, Partition
 
 # Entries one ``_search`` call keeps in its table of dead subproblems; a full
 # table takes no more and answers no more lookups.  A key takes one bit per
@@ -32,11 +31,13 @@ from .core import Instance, Matching, Partition
 DEAD_TABLE_CAP = 1 << 16
 
 
-@dataclass(frozen=True)
-class SolveResult:
-    outcome: str  # "matched", "proven-none", or "budget"
-    matching: Optional[Matching] = None
-    nodes: int = 0
+class SolveResult(FrozenRecord):
+    _fields = ("outcome", "matching", "nodes")
+
+    def __init__(self, outcome: str, matching: Optional[Matching] = None, nodes: int = 0):
+        object.__setattr__(self, "outcome", outcome)  # "matched", "proven-none" or "budget"
+        object.__setattr__(self, "matching", matching)
+        object.__setattr__(self, "nodes", nodes)
 
 
 def exact_solve(inst: Instance, budget: Optional[int] = None) -> SolveResult:
@@ -169,12 +170,14 @@ def _search(
     return "proven-none", None, nodes
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    witness: Optional[Instance]
-    ground_size: int
-    nodes: int
-    exhausted: bool  # True when the whole space was covered without a find
+class SearchResult(FrozenRecord):
+    _fields = ("witness", "ground_size", "nodes", "exhausted")
+
+    def __init__(self, witness: Optional[Instance], ground_size: int, nodes: int, exhausted: bool):
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "ground_size", ground_size)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "exhausted", exhausted)  # the whole space covered without a find
 
 
 def _partitions_23(elems: Sequence[int]) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -269,11 +272,13 @@ def search_unmatchable(
     return SearchResult(None, 0, nodes, nodes < budget)
 
 
-@dataclass(frozen=True)
-class KernelEstimate:
-    value: int
-    witness: Optional[Instance]
-    exhausted: bool
+class KernelEstimate(FrozenRecord):
+    _fields = ("value", "witness", "exhausted")
+
+    def __init__(self, value: int, witness: Optional[Instance], exhausted: bool):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "exhausted", exhausted)
 
 
 def min_unmatchable_kernel(n: int, max_ground: int = 12, budget: int = 10**7) -> KernelEstimate:

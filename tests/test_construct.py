@@ -666,6 +666,27 @@ class TestChargeScheme3:
         assert scheme_3_table(tables, 8) == {8: (2, ()), 20: (1, ())}
         assert scheme_3_table(tables, 9) == {9: (2, ())}
 
+    @pytest.mark.parametrize("held", [6, 7])
+    def test_held_elements_hold_to_their_cap(self, held):
+        # c_3 ~t a_8 and c_4 ~t b_8 taint components 3 and 4, so each class
+        # of relation 8 on one of their identity elements is held: its fresh
+        # elements stay uncharged.  With S_8 empty no fresh pair wins, and
+        # the sixth held element passes while the seventh fails
+        classes = [[("a", 3), ("x", 1), ("x", 2)], [("b", 3), ("x", 3), ("x", 4)],
+                   [("a", 4), ("x", 5), ("x", 6)], [("b", 4), ("x", 7)]]
+        state, ledger = base_state(extra={
+            6: [[("c", 3), ("a", 8)], [("c", 4), ("b", 8)]],
+            8: classes[: 3 if held == 6 else 4],
+        })
+        assert 8 not in ledger.S and ledger.T[8] == (state.comps[3].c, state.comps[4].c)
+        if held == 6:
+            assert charge_scheme_3(state, ledger, [8])[0] == "tables"
+            return
+        with pytest.raises(InternalLogicError) as exc:
+            charge_scheme_3(state, ledger, [8])
+        assert exc.value.step == "charge_scheme_3"
+        assert exc.value.detail == "held elements of K_8 <= 6 fails: 7 <= 6"
+
     def test_win_checks_run_only_on_candidate_rows(self):
         # relation 8's class {a_3, a_20, z} holds an untainted left identity
         # element and z, outside B' and T_8: the row goes to the win checks,

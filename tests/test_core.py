@@ -1,11 +1,13 @@
 """Core data model tests: partitions, kernels, verification, normalization."""
 
 import ast
+import dataclasses
 import itertools
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,10 +16,12 @@ from hypothesis import strategies as st
 
 import grinblat
 from grinblat.core import (
+    FrozenRecordError,
     Instance,
     KernelInfo,
     Matching,
     Partition,
+    VerifyReport,
     _same_class,
     kernel,
     kernel_size,
@@ -25,11 +29,14 @@ from grinblat.core import (
     normalize,
     verify_matching,
 )
-from grinblat.construct import solve
+from grinblat.construct import ChargeLedger, Component, LuckyData, Telemetry, solve
 from grinblat.construct.charging import direct_pair
+from grinblat.experiment import ExperimentConfig, TrialResult
 from grinblat.formats import parse_instance, write_instance
 from grinblat.gen import gen_lower_bound_family, gen_random_hypothesis
-from grinblat.oracle import exact_solve
+from grinblat.oracle import KernelEstimate, SearchResult, SolveResult, exact_solve
+
+import records_ref
 
 
 class TestPartition:
@@ -485,11 +492,100 @@ def test_one_charging_pass_finds_charge_targets():
     assert uses == [("construct/charging.py", "_charge"), ("gen.py", "_canon_relations")]
 
 
+_PACKAGE_RECORDS = SimpleNamespace(**{cls.__name__: cls for cls in (
+    Instance, KernelInfo, Matching, VerifyReport, SolveResult, SearchResult, KernelEstimate,
+    Component, ChargeLedger, LuckyData, Telemetry, ExperimentConfig, TrialResult,
+)})
+
+
+def _record_samples(m):
+    """Records of every class of m, a namespace of the package's record
+    classes or records_ref: per class, the first two equal, the rest
+    different from them and from each other; some take every default."""
+    rels = [Partition([(0, 1), (2, 3)])]
+    return {
+        "Instance": [m.Instance(4, rels), m.Instance(4, tuple(rels)), m.Instance(5, rels), m.Instance(4, [])],
+        "KernelInfo": [m.KernelInfo((frozenset({0, 1}),)), m.KernelInfo((frozenset({1, 0}),)), m.KernelInfo(())],
+        "Matching": [m.Matching([[0, 1], [2, 3]]), m.Matching(((0, 1), (2, 3))), m.Matching([(1, 0)])],
+        "VerifyReport": [m.VerifyReport(True), m.VerifyReport(True, None, None), m.VerifyReport(False, "x", 1)],
+        "SolveResult": [
+            m.SolveResult("matched", m.Matching([(0, 1)]), 3), m.SolveResult("matched", m.Matching([(0, 1)]), 3),
+            m.SolveResult("budget"), m.SolveResult("budget", None, 4),
+        ],
+        "SearchResult": [
+            m.SearchResult(None, 0, 7, True), m.SearchResult(None, 0, 7, True),
+            m.SearchResult(m.Instance(4, rels), 4, 7, False),
+        ],
+        "KernelEstimate": [m.KernelEstimate(5, None, True), m.KernelEstimate(5, None, True), m.KernelEstimate(5, None, False)],
+        "Component": [m.Component(a=1, b=2), m.Component(1, 2, None, None), m.Component(1, 2, 3, 4)],
+        "ChargeLedger": [
+            m.ChargeLedger(30, 6, [0, 0, 4], [0, 0, 2], {2: (7,)}, {}, {7: 1}, {}),
+            m.ChargeLedger(30, 6, [0, 0, 4], [0, 0, 2], {2: (7,)}, {}, {7: 1}, {}),
+            m.ChargeLedger(30, 6, [0, 0, 4], [0, 0, 3], {2: (7,)}, {}, {7: 1}, {}),
+        ],
+        "LuckyData": [
+            m.LuckyData(jstar=10, hprime=(7, 8, 9), W={7: (1, 2)}), m.LuckyData(10, (7, 8, 9), {7: (1, 2)}, ()),
+            m.LuckyData(10, (7, 8, 9), {7: (1, 2)}, hsecond=(7, 8)),
+        ],
+        "Telemetry": [m.Telemetry(), m.Telemetry([]), m.Telemetry([{"phase": "solved", "win": "direct_pair"}])],
+        "ExperimentConfig": [
+            m.ExperimentConfig(master_seed=1, ns=(30,), cs=(8, 32), trials=2),
+            m.ExperimentConfig(1, (30,), (8, 32), 2, ("uniform", "planted"), 30, 10_000_000, False),
+            m.ExperimentConfig(1, (30,), (8, 32), 2, measure_time=True),
+        ],
+        "TrialResult": [
+            m.TrialResult(index=0, seed=5, n=30, c=8, generator="uniform"),
+            m.TrialResult(0, 5, 30, 8, "uniform", 0, "logic-error", "none", 0, 0),
+            m.TrialResult(0, 5, 30, 8, "planted", 112, "matched", "solved", 0, 3),
+        ],
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_record_samples(_PACKAGE_RECORDS)))
+def test_records_behave_as_their_dataclass_twins(name):
+    ours, twins = _record_samples(_PACKAGE_RECORDS)[name], _record_samples(records_ref)[name]
+    frozen = getattr(records_ref, name).__dataclass_params__.frozen
+    assert [repr(x) for x in ours] == [repr(x) for x in twins]
+    assert [[x == y for y in ours] for x in ours] == [[x == y for y in twins] for x in twins]
+    assert ours[0] == ours[1] and all(x != y for x, y in itertools.combinations(ours[1:], 2))
+    assert ours[0].__eq__(object()) is NotImplemented and ours[0] != twins[0]
+    for x, twin in zip(ours, twins):
+        if not frozen:
+            pytest.raises(TypeError, hash, x)
+            pytest.raises(TypeError, hash, twin)
+            continue
+        assert hash(x) == hash(twin)
+        for field in dataclasses.fields(twin):
+            for act in (lambda r: setattr(r, field.name, 0), lambda r: delattr(r, field.name)):
+                with pytest.raises(FrozenRecordError) as ours_raised:
+                    act(x)
+                with pytest.raises(AttributeError) as twin_raised:
+                    act(twin)
+                assert str(ours_raised.value) == str(twin_raised.value)
+        assert repr(x) == repr(twin)  # unchanged by the refused writes
+
+
+def test_records_of_two_classes_never_compare_equal():
+    # the same field tuple in two classes
+    for m in (_PACKAGE_RECORDS, records_ref):
+        pairs, kernels = m.Matching([(0, 1)]), m.KernelInfo(((0, 1),))
+        assert pairs.__eq__(kernels) is NotImplemented and pairs != kernels
+
+
+def test_partition_is_a_frozen_record():
+    p = Partition([(2, 0), (1, 3)])
+    assert (repr(p), hash(p)) == ("Partition(classes=((0, 2), (1, 3)))", hash((((0, 2), (1, 3)),)))
+    with pytest.raises(FrozenRecordError, match="cannot assign to field 'classes'"):
+        p.classes = ()
+    with pytest.raises(AttributeError, match="cannot delete field 'arrays'"):
+        del p.arrays
+
+
 _NUMPY_FREE_PATHS = """
 import contextlib, io, sys
 
 def loaded(stage):
-    print(stage, "numpy" in sys.modules)
+    print(stage, *(name in sys.modules for name in ("numpy", "dataclasses", "inspect")))
 
 import grinblat, grinblat.cli, grinblat.experiment, grinblat.formats
 loaded("import")
@@ -520,10 +616,14 @@ def test_oracles_and_search_start_without_numpy():
     # numpy is imported only where arrays are used, so importing the package,
     # the oracles on tuple-born instances and the CLI's search and gen
     # lower-bound never load it; the uniform generator does, so the check is
-    # not vacuous.  A fresh interpreter, since this one has numpy loaded.
+    # not vacuous.  The records are plain classes, so none of these paths
+    # loads dataclasses or the inspect module it imports.  A fresh
+    # interpreter, since this one has all three loaded.
     src = str(Path(grinblat.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run(
         [sys.executable, "-c", _NUMPY_FREE_PATHS], env=env, capture_output=True, text=True, check=True
     ).stdout
-    assert out.split("\n") == ["import False", "oracle False", "cli False", "generator True", ""]
+    lines = out.split("\n")
+    assert lines[:3] == ["import False False False", "oracle False False False", "cli False False False"]
+    assert lines[3].startswith("generator True") and lines[4:] == [""]
