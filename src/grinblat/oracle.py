@@ -3,15 +3,17 @@
 Both oracles run one search core, ``_search``: a backtracking search over
 per-relation pair choices on an explicit stack, so its depth has no limit,
 that holds each open relation's available pairs as one int, so a node
-narrows each relation in one step, and that counts a subproblem it has
-already proven dead from a table instead of searching it again.
+narrows each relation in one step, that counts a subproblem it has
+already proven dead from a table instead of searching it again, and that
+closes the last level in place.
 exact_solve wraps it to certify matchings and non-matchings of one
 instance at small scale.
 search_unmatchable hunts for extremal witnesses: instances whose kernels
 all reach a target size yet admit no rainbow matching.  It calls the core
-once per candidate tuple on pair masks built once per candidate, and
-builds an ``Instance`` only for the witness it returns.  It makes one
-deterministic pass, so equal arguments give equal results.
+once per candidate tuple on pair masks built once per candidate, in lists
+allocated once per shape, and builds an ``Instance`` only for the witness
+it returns.  It makes one deterministic pass, so equal arguments give
+equal results.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ from .core import FrozenRecord, Instance, Matching, Partition
 # Entries one ``_search`` call keeps in its table of dead subproblems; a full
 # table takes no more and answers no more lookups.  A key takes one bit per
 # relation and per element: a full table of 10 relations over 18 elements
-# holds 5.3 MB (tracemalloc).  The lower-bound family at n = 9 needs 41,479
-# entries, while dense unmatchable instances add about one entry per two
-# nodes.
+# holds 5.3 MB (tracemalloc).  The lower-bound family at n = 6..9 needs 781,
+# 3,367, 14,197 and 58,975 entries, while dense unmatchable instances add
+# about one entry per two nodes.
 DEAD_TABLE_CAP = 1 << 16
 
 
@@ -94,13 +96,17 @@ def _search(
     being searched, and a budget that the count passes stops at budget + 1,
     as the walk would have.  A dead subtree holds no matching, so outcomes,
     node counts, matchings and budget stops are those of the full walk.
-    Only frames with three or more open relations are keyed (one with two
-    fails within one pass).  A subproblem recurs only after two choices
-    made in either order, at depth two or more, so a search of fewer than
-    five relations, such as the witness search's at n = 3 or 4, keeps no
-    table.  At ``DEAD_TABLE_CAP`` entries the table is closed: it takes no
-    more, and frames pushed after that are not keyed, so the search goes
-    on as a plain walk.  A table fills when its subproblems seldom recur,
+    Frames with two or more open relations are keyed, and the last level
+    is closed in place: a pair chosen in a frame of two leaves the other
+    relation without pairs or matches at its lowest pair left, so that
+    node is counted and returned without a frame of one.  A subproblem
+    recurs only after two choices made in either order; with four
+    relations only a frame of two can, when the root and second relations
+    share a pair, and on the witness search at n = 4 a table saved no
+    node, so a search of fewer than five relations keeps none.  At
+    ``DEAD_TABLE_CAP`` entries the table is closed: it takes no more, and
+    frames pushed after that are not keyed, so the search goes on as a
+    plain walk.  A table fills when its subproblems seldom recur,
     as on dense unmatchable instances: on 13 relations over 24 elements,
     one lookup in 75 past the cap hit and a hit saved 1.3 nodes, so
     lookups past the cap made the search 20-35% slower.
@@ -114,7 +120,7 @@ def _search(
     chosen: list[Optional[tuple[int, int]]] = [None] * m
     nodes = 0
     mark = None
-    if m > 4:  # with fewer relations no keyed subproblem can recur
+    if m > 4:  # fewer relations seldom repeat a frame (see above)
         dead: dict[int, int] = {}
         mark = ((1 << m) - 1, 0)
     stack = [[opens, fewest, fewest[2], mark]]
@@ -136,20 +142,29 @@ def _search(
         if len(opens) == 1:
             return "matched", chosen, nodes
         a, b = pair
-        if mark is not None:
-            if len(opens) > 3 and len(dead) < DEAD_TABLE_CAP:
-                key = mark[0] ^ 1 << j | 1 << a + m | 1 << b + m
-                spent = dead.get(key)
-                if spent is not None:
-                    # a dead subtree: count it, and stop inside it where
-                    # walking it would pass the budget
-                    nodes += spent
-                    if nodes > limit:
-                        return "budget", None, budget + 1
-                    continue
-                mark = (key, nodes)
-            else:
-                mark = None
+        if len(opens) == 2:  # the last level, closed in place (see above)
+            other = opens[1] if rel is opens[0] else opens[0]
+            left = other[2] & ~(other[3].get(a, 0) | other[3].get(b, 0))
+            if left:
+                nodes += 1
+                if nodes > limit:
+                    return "budget", None, nodes
+                chosen[other[1]] = views[other[1]][0][(left & -left).bit_length() - 1]
+                return "matched", chosen, nodes
+            continue
+        if mark is not None and len(dead) < DEAD_TABLE_CAP:
+            key = mark[0] ^ 1 << j | 1 << a + m | 1 << b + m
+            spent = dead.get(key)
+            if spent is not None:
+                # a dead subtree: count it, and stop inside it where
+                # walking it would pass the budget
+                nodes += spent
+                if nodes > limit:
+                    return "budget", None, budget + 1
+                continue
+            mark = (key, nodes)
+        else:
+            mark = None
         child = []
         fewest = None
         for other in opens:
@@ -251,18 +266,18 @@ def search_unmatchable(
             ends = itertools.accumulate(shape)
             rel1 = Partition(tuple(range(end - sz, end)) for sz, end in zip(shape, ends))
             view1 = rel1._pair_masks
-            open1 = _open(0, view1)
+            # slot 0 holds relation 1; each tuple overwrites slots 1..n-1
+            rel_views, opens = [view1] * n, [_open(0, view1)] * n
             for choice in itertools.combinations_with_replacement(range(len(candidates)), n - 1):
                 if nodes >= budget:
                     return SearchResult(None, 0, nodes, False)
-                rel_views, opens = [view1], [open1]
                 for j, i in enumerate(choice, 1):
                     cand = built[i]
                     if cand is None:
                         view = Partition(candidates[i])._pair_masks
                         cand = built[i] = (view, [_open(k, view) for k in range(n)])
-                    rel_views.append(cand[0])
-                    opens.append(cand[1][j])
+                    rel_views[j] = cand[0]
+                    opens[j] = cand[1][j]
                 outcome, _, spent = _search(rel_views, opens, budget - nodes)
                 nodes += spent
                 if outcome == "proven-none":

@@ -718,6 +718,61 @@ class TestChargeScheme3:
         # relation t used a T_8 element
         assert any(e in ledger.T[8] for e in m.pairs[5])
 
+    def test_charge_puts_each_element_in_one_outcome(self, monkeypatch):
+        # the accounting identity charged + held + skipped == |K_i| holds
+        # because the pass sorts every element of a batch into exactly one
+        # of direct, skipped, held, stuck and outsider.  Two hand-built
+        # two-row batches (the second with a stuck element, so the step
+        # raises) and the deep planted step's 80 heavy rows
+        from grinblat.construct import heavy as heavy_module
+
+        calls = []
+
+        def spy(state, batch, above, direct, skip=None, hold=None):
+            result = _charge(state, batch, above, direct, skip, hold)
+            calls.append((batch, direct, skip, result))
+            return result
+
+        held_and_skipped = base_state(extra={
+            1: [[("c", 3), ("a", 8)]],
+            6: [[("c", 4), ("a", 8)]],
+            8: [[("a", 4), ("x", "x")], [("a", 20), ("c", 3)], [("a", 15), ("a", 21), ("x", "out")]],
+        })
+        stuck = base_state(extra={8: [[("a", 16), ("x", "y")]], 9: [[("c", 3), ("x", "z")]]})
+        inst, sub = gen_planted_concentrated(100, 32, seed=6)
+        _, planted = build_track(_initial_state(inst, sub, 0))
+        _, ledger = charge_scheme_2(planted)
+        cases = [(*held_and_skipped, [8, 9]), (*stuck, [8, 9]),
+                 (planted, ledger, heavy_indices(planted, ledger, c=32))]
+        monkeypatch.setattr(heavy_module, "_charge", spy)
+        seen = set()
+        for state, ledger, heavy in cases:
+            calls.clear()
+            try:
+                charge_scheme_3(state, ledger, heavy)
+            except InternalLogicError:
+                pass
+            for batch, direct, skip, (counts, _, outs, held, stuck) in calls:
+                rows, xs = batch.row.tolist(), batch.x.tolist()
+                index = {e: j for j, e in enumerate(zip(rows, xs))}
+                assert len(index) == len(xs)  # a row lists each kernel element once
+                outsiders = [index[e] for e in zip(outs[0].tolist(), outs[2].tolist())]
+                outcome = [None] * len(xs)
+                for name, where in (("direct", direct.nonzero()[0]), ("skipped", skip.nonzero()[0]),
+                                    ("held", held), ("stuck", stuck), ("outsider", outsiders)):
+                    for j in np.asarray(where, int).tolist():
+                        assert outcome[j] is None, (xs[j], outcome[j], name)
+                        outcome[j] = name
+                        seen.add(name)
+                assert None not in outcome
+                for r, i in enumerate(batch.rows):
+                    mine = [o for o, row in zip(outcome, rows) if row == r]
+                    assert len(mine) == len(kernel(state.relation_at(i)))
+                    assert int(counts[r].sum()) == mine.count("direct") + mine.count("outsider")
+                if len(batch.rows) > 1:
+                    seen.add("multi-row")
+        assert seen == {"direct", "skipped", "held", "stuck", "outsider", "multi-row"}
+
     def test_uncharged_when_equivalent_to_s(self):
         extra = {}
         fixtures.heavy_right(extra, 8, "h")

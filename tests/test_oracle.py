@@ -144,10 +144,10 @@ def test_exact_solve_matches_the_list_based_search():
 
 
 @st.composite
-def _instances(draw):
+def _instances(draw, relations=st.integers(1, 6)):
     ground = draw(st.integers(4, 12))
     rels = []
-    for _ in range(draw(st.integers(1, 6))):
+    for _ in range(draw(relations)):
         elems = draw(st.permutations(range(ground)))
         sizes = draw(st.lists(st.integers(2, 5), min_size=1, max_size=4))
         ends = list(itertools.accumulate(sizes))
@@ -170,6 +170,28 @@ def _shared_class_instances(draw):
     return Instance(ground, [Partition(pool[i] for i in sorted(draw(picks))) for _ in range(n)])
 
 
+@st.composite
+def _family_like_instances(draw):
+    # five or six relations over a pool of n - 1 disjoint classes: each
+    # relation keeps all of them but at most one and may add a pair of its
+    # own, so most have no rainbow matching and, as in the lower-bound
+    # family, frames with two open relations recur
+    n = draw(st.integers(5, 6))
+    sizes = draw(st.lists(st.integers(2, 3), min_size=n - 1, max_size=n - 1))
+    ground = sum(sizes) + 2 * n
+    elems = draw(st.permutations(range(ground)))
+    ends = list(itertools.accumulate(sizes))
+    pool = [elems[end - k : end] for k, end in zip(sizes, ends)]
+    rels = []
+    for i in range(n):
+        drop = draw(st.integers(-1, n - 2))
+        classes = [c for j, c in enumerate(pool) if j != drop]
+        if draw(st.integers(0, 9)) == 5:
+            classes.append(elems[ends[-1] + 2 * i : ends[-1] + 2 * i + 2])
+        rels.append(Partition(classes))
+    return Instance(ground, rels)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(_instances(), _shared_class_instances()), st.integers(min_value=0, max_value=60))
 def test_budget_stops_one_node_past_it(inst, budget):
@@ -181,6 +203,21 @@ def test_budget_stops_one_node_past_it(inst, budget):
         assert got == full
     else:
         assert got == SolveResult("budget", None, budget + 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_shared_class_instances(), _family_like_instances(), _instances(st.integers(2, 4))), st.data())
+def test_two_relation_frames_match_the_list_based_search(inst, data):
+    # the search counts dead two-relation frames from its table (five or
+    # more relations) and closes the last level in place; the list-based
+    # search walks both.  Budgets anywhere in the tree, so often inside a
+    # counted subtree, on the last node and past it stop both at the same
+    # node with the same outcome and matching.
+    full = exact_solve(inst)
+    budgets = {None, full.nodes - 1, full.nodes} | {data.draw(st.integers(0, full.nodes)) for _ in range(8)}
+    for budget in budgets - {-1}:
+        got, want = exact_solve(inst, budget=budget), reference_solve(inst, budget=budget)
+        assert (got.outcome, got.nodes, got.matching) == (want.outcome, want.nodes, want.matching)
 
 
 def _relabelled(inst: Instance, rng: random.Random) -> Instance:
@@ -261,7 +298,7 @@ def _table_sizes(inst: Instance) -> tuple[SolveResult, list[int]]:
 
 def test_dead_table_stays_within_its_cap(monkeypatch):
     # 10 relations over 18 elements: uncapped, this search would keep
-    # 70,321 entries; the table fills to its cap and takes no more
+    # 70,374 entries; the table fills to its cap and takes no more
     res, sizes = _table_sizes(_dense_unmatchable(10, 28))
     assert (res.outcome, res.nodes) == ("proven-none", 155_586)
     assert sizes == [oracle.DEAD_TABLE_CAP]
