@@ -4,8 +4,9 @@ Both oracles run one search core, ``_search``: a backtracking search over
 per-relation pair choices on an explicit stack, so its depth has no limit,
 that holds each open relation's available pairs as one int, so a node
 narrows each relation in one step, that counts a subproblem it has
-already proven dead from a table instead of searching it again, and that
-closes the last level in place.
+already proven dead, or one that differs from it only by a swap of twin
+elements, from a table instead of searching it again, and that closes the
+last level in place.
 exact_solve wraps it to certify matchings and non-matchings of one
 instance at small scale.
 search_unmatchable hunts for extremal witnesses: instances whose kernels
@@ -27,9 +28,10 @@ from .core import FrozenRecord, Instance, Matching, Partition
 # Entries one ``_search`` call keeps in its table of dead subproblems; a full
 # table takes no more and answers no more lookups.  A key takes one bit per
 # relation and per element: a full table of 10 relations over 18 elements
-# holds 5.3 MB (tracemalloc).  The lower-bound family at n = 6..9 needs 781,
-# 3,367, 14,197 and 58,975 entries, while dense unmatchable instances add
-# about one entry per two nodes.
+# holds 5.3 MB (tracemalloc).  Keyed up to twins, the lower-bound family at n
+# needs 2^(n-1) - 1 entries, one per set of used triples, so this cap holds
+# it up to n = 17; dense unmatchable instances add about one entry per two
+# nodes.
 DEAD_TABLE_CAP = 1 << 16
 
 
@@ -65,6 +67,32 @@ def _open(j: int, view: tuple[list[tuple[int, int]], dict[int, int]]) -> tuple:
     return (len(pairs), j, (1 << len(pairs)) - 1, masks)
 
 
+def _twin_blocks(views: Sequence[tuple[list[tuple[int, int]], dict[int, int]]], m: int) -> tuple[list, list]:
+    """Per listed element, its twin block's bits in a frame key and the
+    lowest of them.  An element's signature codes (relation, least element
+    of its class) for each relation that lists it; equal signatures make
+    twins.  A block takes one bit per element, consecutive and above the m
+    relation bits, and a key that holds k of its elements sets the lowest k.
+    """
+    sigs: dict[int, list[int]] = {}
+    for j, (pairs, masks) in enumerate(views):
+        for x, mask in masks.items():
+            # x's lowest pair starts at the least element of x's class
+            sigs.setdefault(x, []).append(pairs[(mask & -mask).bit_length() - 1][0] * m + j)
+    blocks: dict[tuple[int, ...], list[int]] = {}
+    for x, sig in sigs.items():
+        blocks.setdefault(tuple(sig), []).append(x)
+    size = max(sigs, default=-1) + 1
+    span, first = [0] * size, [0] * size
+    bit = 1 << m
+    for block in blocks.values():
+        mask = bit * ((1 << len(block)) - 1)
+        for x in block:
+            span[x], first[x] = mask, bit
+        bit <<= len(block)
+    return span, first
+
+
 def _search(
     views: Sequence[tuple[list[tuple[int, int]], dict[int, int]]],
     opens: list[tuple],
@@ -87,15 +115,20 @@ def _search(
 
     Different orders of earlier choices often reach the same subproblem, so
     the search keeps a table of dead ones.  A frame is keyed by its open
-    relations J and the elements U its path has used, packed as one int
-    (J in the low m bits, U above them).  The key is exact: each open
-    relation's pairs are its initial ones minus those touching U, and the
-    fail-first order depends only on those, so equal keys root identical
-    subtrees.  A frame exhausted without a matching records its subtree's
-    node count; a child whose key is recorded adds that count instead of
-    being searched, and a budget that the count passes stops at budget + 1,
-    as the walk would have.  A dead subtree holds no matching, so outcomes,
-    node counts, matchings and budget stops are those of the full walk.
+    relations J and, up to twins, the elements U its path has used, packed
+    as one int: J in the low m bits and, above them, the lowest bits of
+    each block of twins, one per element of U in it (``_twin_blocks``).
+    Twins lie in one class of every relation that lists either, so swapping
+    two maps each relation to itself and keeps every open relation's pair
+    count, its initial pairs minus those touching U, and every fail-first
+    pick.  Frames with equal keys differ by such swaps, and a dead frame
+    tries all its pairs, in whatever order, so equal keys root dead
+    subtrees of equal size.  A frame exhausted without a matching records
+    its subtree's node count; a child whose key is recorded adds that count
+    instead of being searched, and a budget that the count passes stops at
+    budget + 1, as the walk would have.  Only dead frames are recorded and a
+    dead subtree holds no matching, so outcomes, node counts, matchings and
+    budget stops are those of the full walk.
     Frames with two or more open relations are keyed, and the last level
     is closed in place: a pair chosen in a frame of two leaves the other
     relation without pairs or matches at its lowest pair left, so that
@@ -123,6 +156,7 @@ def _search(
     if m > 4:  # fewer relations seldom repeat a frame (see above)
         dead: dict[int, int] = {}
         mark = ((1 << m) - 1, 0)
+        span, first = _twin_blocks(views, m)
     stack = [[opens, fewest, fewest[2], mark]]
     while stack:
         frame = stack[-1]
@@ -153,7 +187,11 @@ def _search(
                 return "matched", chosen, nodes
             continue
         if mark is not None and len(dead) < DEAD_TABLE_CAP:
-            key = mark[0] ^ 1 << j | 1 << a + m | 1 << b + m
+            # a block's used bits are its lowest k, so adding its lowest bit
+            # gives its next: a and b each take the lowest free one
+            key = mark[0] ^ 1 << j
+            key |= (key & span[a]) + first[a]
+            key |= (key & span[b]) + first[b]
             spent = dead.get(key)
             if spent is not None:
                 # a dead subtree: count it, and stop inside it where

@@ -136,7 +136,7 @@ def sweep():
 def test_criterion_1_lower_bound_family(capsys):
     with criterion(capsys, 1, "lower-bound family"):
         start = time.perf_counter()
-        for n in range(2, 10):
+        for n in range(2, 14):
             inst = gen_lower_bound_family(n)
             assert min_kernel(inst) == 3 * n - 3
             assert KernelInfo.of(inst).sizes == tuple([3 * n - 3] * n)

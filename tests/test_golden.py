@@ -252,6 +252,16 @@ def test_exact_solve_lower_bound_family_nodes():
     assert (res.outcome, res.nodes, res.matching) == ("budget", 51, None)
 
 
+def test_exact_solve_lower_bound_family_nodes_past_9():
+    # keyed up to twins, the dead table holds one entry per set of used
+    # triples, so the search decides the family past n = 9 too
+    for n in range(10, 14):
+        res = exact_solve(gen_lower_bound_family(n))
+        assert (res.outcome, res.matching) == ("proven-none", None)
+        assert res.nodes == sum(3**d * math.perm(n - 1, d) for d in range(1, n))
+    assert res.nodes == 355_268_619_178_344
+
+
 def test_search_unmatchable_witness():
     res = search_unmatchable(3, 8, 12, budget=2_000_000)
     assert res.nodes == 29_205

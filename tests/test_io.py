@@ -1,6 +1,8 @@
 """File format, CLI, and experiment harness tests."""
 
+import io
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -481,6 +483,17 @@ class TestCli:
         # a budget stops the search one node past it
         assert cli.main(["exact", path, "--budget", "10"]) == 2
         assert capsys.readouterr() == ("", "budget exhausted nodes=11\n")
+
+    def test_gen_lower_bound_piped_to_exact(self, capsys, monkeypatch):
+        # grinblat gen lower-bound 12 | grinblat exact.  The reader builds
+        # each relation from arrays, and the search finds the twin blocks
+        # of those relations as of tuple-born ones.
+        assert cli.main(["gen", "lower-bound", "12"]) == 0
+        data = capsys.readouterr().out.encode()
+        assert all(p.arrays is not None for p in parse_instance(data).relations)
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+        assert cli.main(["exact"]) == 1
+        assert capsys.readouterr() == ("", "proven-none nodes=9868572754953\n")
 
     def test_exact_events_carry_outcome_and_nodes(self, tmp_path, capsys):
         # below the size threshold solve dispatches to the exact solver

@@ -1,6 +1,7 @@
 """Exact solver tests, cross-checked against an independent brute-force
-enumerator, the list-based search the solver replaced and an integer
-program solved by scipy."""
+enumerator, the list-based search the solver replaced, an integer program
+solved by scipy and, on the lower-bound family, a matching of the union
+graph found by networkx."""
 
 import itertools
 import random
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from brute import brute_has_matching
 from exact_ref import exact_solve as reference_solve
+from graph_ref import union_matching_size
 from milp_ref import milp_matching
 from grinblat.core import Instance, Partition, verify_matching
 from grinblat.gen import gen_lower_bound_family
@@ -205,19 +207,86 @@ def test_budget_stops_one_node_past_it(inst, budget):
         assert got == SolveResult("budget", None, budget + 1)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.one_of(_shared_class_instances(), _family_like_instances(), _instances(st.integers(2, 4))), st.data())
-def test_two_relation_frames_match_the_list_based_search(inst, data):
-    # the search counts dead two-relation frames from its table (five or
-    # more relations) and closes the last level in place; the list-based
-    # search walks both.  Budgets anywhere in the tree, so often inside a
-    # counted subtree, on the last node and past it stop both at the same
-    # node with the same outcome and matching.
+@st.composite
+def _twin_heavy_instances(draw):
+    # five to seven relations, each made of whole classes of one pool of
+    # disjoint classes of 2 to 5 elements, relabelled: a pool class's
+    # elements are listed together or not at all, so they stay twins.  A
+    # relation may hold two pool classes in one class, whose pairs then use
+    # one element of each block.  A few relations add a pair of their own,
+    # a block of two.  A small pool leaves fewer than 2n elements, so such
+    # draws are unmatchable.
+    n = draw(st.integers(5, 7))
+    sizes = draw(st.lists(st.integers(2, 5), min_size=2, max_size=n))
+    own = draw(st.lists(st.integers(0, n - 1), max_size=2, unique=True))
+    ground = sum(sizes) + 2 * len(own)
+    elems = draw(st.permutations(range(ground)))
+    ends = list(itertools.accumulate(sizes))
+    pool = [elems[end - k : end] for k, end in zip(sizes, ends)]
+    rels = []
+    for i in range(n):
+        classes = []
+        for c in sorted(draw(st.sets(st.integers(0, len(pool) - 1), min_size=1))):
+            if classes and draw(st.booleans()):
+                classes[-1] = classes[-1] + pool[c]
+            else:
+                classes.append(pool[c])
+        if i in own:
+            at = ends[-1] + 2 * own.index(i)
+            classes.append(elems[at : at + 2])
+        rels.append(Partition(classes))
+    return Instance(ground, rels)
+
+
+def _assert_matches_the_list_based_search(inst, data):
+    # budgets anywhere in the tree, so often inside a counted subtree, on
+    # the last node and past it stop both searches at the same node with
+    # the same outcome and matching
     full = exact_solve(inst)
     budgets = {None, full.nodes - 1, full.nodes} | {data.draw(st.integers(0, full.nodes)) for _ in range(8)}
     for budget in budgets - {-1}:
         got, want = exact_solve(inst, budget=budget), reference_solve(inst, budget=budget)
         assert (got.outcome, got.nodes, got.matching) == (want.outcome, want.nodes, want.matching)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_shared_class_instances(), _family_like_instances(), _instances(st.integers(2, 4))), st.data())
+def test_two_relation_frames_match_the_list_based_search(inst, data):
+    # the search counts dead two-relation frames from its table (five or
+    # more relations) and closes the last level in place; the list-based
+    # search walks both
+    _assert_matches_the_list_based_search(inst, data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_twin_heavy_instances(), st.data())
+def test_twin_keys_match_the_list_based_search(inst, data):
+    # the table keys used elements up to twins, so a frame reached with
+    # other twins of the same blocks is counted, not searched; on such
+    # instances about one drawn budget in ten stops inside a subtree
+    # counted through a key that matched only up to twins
+    _assert_matches_the_list_based_search(inst, data)
+
+
+def _blocks(inst: Instance) -> list[tuple[int, ...]]:
+    # the twin blocks of more than one element that the search core keys
+    span, _ = oracle._twin_blocks([p._pair_masks for p in inst.relations], inst.n)
+    blocks: dict[int, list[int]] = {}
+    for x, mask in enumerate(span):
+        blocks.setdefault(mask, []).append(x)
+    return sorted(tuple(b) for mask, b in blocks.items() if mask and len(b) > 1)
+
+
+def test_twin_blocks():
+    # the family's triples are its blocks; the padded family adds each
+    # relation's own pair; a dense random instance has no twins
+    for n in range(2, 8):
+        triples = [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(n - 1)]
+        assert _blocks(gen_lower_bound_family(n)) == triples
+        g = 3 * (n - 1)
+        own = [(g + 2 * i, g + 2 * i + 1) for i in range(n)]
+        assert _blocks(_padded(gen_lower_bound_family(n))) == triples + own
+    assert _blocks(_dense_unmatchable(10, 28)) == []
 
 
 def _relabelled(inst: Instance, rng: random.Random) -> Instance:
@@ -296,6 +365,42 @@ def _table_sizes(inst: Instance) -> tuple[SolveResult, list[int]]:
     return res, sizes
 
 
+def test_twin_keys_count_and_name_the_relation():
+    # Three instances on which a weaker twin key miscounts.  In the first,
+    # relations 1 and 2 hold the twins {1, 2} and {5, 6} in one class, so a
+    # pair such as (2, 6) uses the second element of two blocks; in the
+    # second, the pair (1, 5) uses both elements of one block.  So the key
+    # must count a block's used elements for both elements of a pair.  In
+    # the third, 7 lies with the twins 3 and 8 in relation 2 and in a class
+    # whose least element is 0 in relation 3, where theirs is in relation
+    # 4: a signature without the relation would make it their twin.  Every
+    # budget stops both searches at the same node.
+    cases = [
+        (Instance(8, [Partition([(0, 3)]), Partition([(1, 2, 5, 6, 7)]), Partition([(1, 2, 5, 6)]),
+                      Partition([(4, 5, 6, 7)]), Partition([(4, 5, 6, 7)])]), [(0, 3), (1, 2), (5, 6)]),
+        (Instance(9, [Partition([(2, 7)]), Partition([(3, 6, 8)]), Partition([(0, 1, 4, 5)]),
+                      Partition([(1, 5, 8)]), Partition([(1, 4, 5)])]), [(1, 5), (2, 7), (3, 6)]),
+        (Instance(9, [Partition([(2, 5)]), Partition([(1, 4)]), Partition([(3, 7, 8)]),
+                      Partition([(0, 6, 7)]), Partition([(0, 3, 8)])]), [(1, 4), (2, 5), (3, 8)]),
+    ]
+    for inst, blocks in cases:
+        assert _blocks(inst) == blocks
+        full = exact_solve(inst)
+        for budget in [None, *range(full.nodes + 1)]:
+            got, want = exact_solve(inst, budget=budget), reference_solve(inst, budget=budget)
+            assert (got.outcome, got.nodes, got.matching) == (want.outcome, want.nodes, want.matching)
+
+
+def test_family_table_takes_one_entry_per_set_of_used_triples():
+    # keyed up to twins, a frame of the family is its open relations and the
+    # triples used so far; the table holds 2^(n-1) - 1 of them, where keys
+    # on the used elements themselves took 781 at n = 6 and 58,975 at n = 9
+    for n in range(6, 14):
+        res, sizes = _table_sizes(gen_lower_bound_family(n))
+        assert res.outcome == "proven-none"
+        assert sizes == [2 ** (n - 1) - 1]
+
+
 def test_dead_table_stays_within_its_cap(monkeypatch):
     # 10 relations over 18 elements: uncapped, this search would keep
     # 70,374 entries; the table fills to its cap and takes no more
@@ -312,14 +417,12 @@ def test_dead_table_stays_within_its_cap(monkeypatch):
 
 class TestMilpOracle:
     def test_lower_bound_family_is_infeasible(self):
-        # exact_solve reaches the same verdict up to n = 9 (369,194,640
-        # nodes, most counted from its dead table); at n = 10 it rests on
-        # the integer program alone
+        # exact_solve reaches the same verdict at every n here (9,968,255,307
+        # nodes at n = 10, most counted from its dead table)
         for n in range(2, 11):
             inst = gen_lower_bound_family(n)
             assert milp_matching(inst) is None
-            if n <= 9:
-                assert exact_solve(inst).outcome == "proven-none"
+            assert exact_solve(inst).outcome == "proven-none"
 
     def test_padded_family_is_feasible(self):
         for n in range(2, 11):
@@ -337,3 +440,14 @@ class TestMilpOracle:
             assert (m is not None) == (exact_solve(inst).outcome == "matched")
             if m is not None:
                 assert verify_matching(inst, m).valid
+
+
+def test_lower_bound_family_has_a_union_graph_certificate():
+    # the union of the family's pairs is n - 1 disjoint triangles, whose
+    # largest matching has n - 1 < n edges; up to n = 13 the exact search
+    # reaches the same verdict
+    for n in range(2, 51):
+        inst = gen_lower_bound_family(n)
+        assert union_matching_size(inst) == n - 1 < inst.n
+        if n <= 13:
+            assert exact_solve(inst).outcome == "proven-none"
