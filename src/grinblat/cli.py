@@ -36,6 +36,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _budget(text: str) -> int:
+    """A --budget value: a count of nodes, so never negative."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"negative budget {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="grinblat", description="Rainbow matching solver suite")
     sub = p.add_subparsers(dest="command", required=True)
@@ -48,7 +59,7 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("exact", help="exact backtracking solver")
     sp.add_argument("instance", nargs="?")
-    sp.add_argument("--budget", type=int, default=None)
+    sp.add_argument("--budget", type=_budget, default=None)
 
     sp = sub.add_parser("verify", help="check a matching file against an instance")
     sp.add_argument("instance")
@@ -66,7 +77,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("n", type=int)
     sp.add_argument("kernel_target", type=int)
     sp.add_argument("max_ground", type=int)
-    sp.add_argument("--budget", type=int, default=10**8)
+    sp.add_argument("--budget", type=_budget, default=10**8)
 
     sp = sub.add_parser("experiment", help="run a sweep from a JSON config")
     sp.add_argument("config")

@@ -176,18 +176,7 @@ class Partition(FrozenRecord):
 
     @_view
     def _pair_masks(self) -> tuple[list[tuple[int, int]], dict[int, int]]:
-        """Every pair of equivalent elements in sorted order, and for each
-        listed element an int whose bit i is set when pair i holds it; a
-        class of k elements gives each member a mask of k(k-1)/2 bits."""
-        pairs = []
-        for cl in self.classes:
-            pairs.extend(itertools.combinations(cl, 2))
-        pairs.sort()
-        masks: dict[int, int] = {}
-        for i, (a, b) in enumerate(pairs):
-            masks[a] = masks.get(a, 0) | 1 << i
-            masks[b] = masks.get(b, 0) | 1 << i
-        return pairs, masks
+        return pair_masks(self.classes)
 
     @_view
     def _index(self) -> dict[int, tuple[int, ...]]:
@@ -228,6 +217,22 @@ class Partition(FrozenRecord):
 
     def equivalent(self, x: int, y: int) -> bool:
         return x == y or y in self.class_of(x)
+
+
+def pair_masks(classes: Iterable[tuple[int, ...]]) -> tuple[list[tuple[int, int]], dict[int, int]]:
+    """Every pair of equivalent elements of the sorted classes, in sorted
+    order, and for each listed element an int whose bit i is set when pair
+    i holds it; a class of k elements gives each member a mask of k(k-1)/2
+    bits.  ``Partition._pair_masks`` keeps this view of its classes."""
+    pairs = []
+    for cl in classes:
+        pairs.extend(itertools.combinations(cl, 2))
+    pairs.sort()
+    masks: dict[int, int] = {}
+    for i, (a, b) in enumerate(pairs):
+        masks[a] = masks.get(a, 0) | 1 << i
+        masks[b] = masks.get(b, 0) | 1 << i
+    return pairs, masks
 
 
 def kernel(p: Partition) -> frozenset[int]:

@@ -70,6 +70,8 @@ class ExperimentConfig(FrozenRecord):
                 raise GrinblatError(f"unknown generator {g!r}")
         if cfg.trials < 0:
             raise GrinblatError("negative trial count")
+        if cfg.exact_budget < 0:
+            raise GrinblatError("negative exact budget")
         return cfg
 
 

@@ -5,16 +5,18 @@ per-relation pair choices on an explicit stack, so its depth has no limit,
 that holds each open relation's available pairs as one int, so a node
 narrows each relation in one step, that counts a subproblem it has
 already proven dead, or one that differs from it only by a swap of twin
-elements, from a table instead of searching it again, and that closes the
-last level in place.
+elements, from a table built at the first dead subproblem instead of
+searching it again, and that closes every subproblem of two open
+relations in place (``_close_two``).
 exact_solve wraps it to certify matchings and non-matchings of one
 instance at small scale.
 search_unmatchable hunts for extremal witnesses: instances whose kernels
-all reach a target size yet admit no rainbow matching.  It calls the core
-once per candidate tuple on pair masks built once per candidate, in lists
-allocated once per shape, and builds an ``Instance`` only for the witness
-it returns.  It makes one deterministic pass, so equal arguments give
-equal results.
+all reach a target size yet admit no rainbow matching.  It searches each
+candidate tuple on pair masks built once per candidate, with the core or,
+for three relations with relation 1 fail-first, by walking relation 1's
+pairs itself, and builds a ``Partition`` or an ``Instance`` only for the
+witness it returns.  It makes one deterministic pass, so equal arguments
+give equal results.  Both refuse a negative budget.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import itertools
 import math
 from typing import Iterator, Optional, Sequence
 
-from .core import FrozenRecord, Instance, Matching, Partition
+from .core import FrozenRecord, Instance, Matching, Partition, pair_masks
 
 # Entries one ``_search`` call keeps in its table of dead subproblems; a full
 # table takes no more and answers no more lookups.  A key takes one bit per
@@ -51,9 +53,12 @@ def exact_solve(inst: Instance, budget: Optional[int] = None) -> SolveResult:
     the fail-first search tree up to the outcome.  Subtrees already proven
     dead are counted from a table, not revisited (see ``_search``), so a
     budget stops at the same node as a search that walks them.  Budget
-    exhaustion is an outcome, never an error.  The search runs on an
-    explicit stack, so its depth is not bounded by Python's recursion limit.
+    exhaustion is an outcome, never an error; a negative budget raises
+    ValueError.  The search runs on an explicit stack, so its depth is not
+    bounded by Python's recursion limit.
     """
+    if budget is not None and budget < 0:
+        raise ValueError(f"negative budget {budget}")
     if inst.n == 0:
         return SolveResult("matched", Matching([]), 0)
     views = [p._pair_masks for p in inst.relations]
@@ -93,6 +98,51 @@ def _twin_blocks(views: Sequence[tuple[list[tuple[int, int]], dict[int, int]]], 
     return span, first
 
 
+def _key_path(views: Sequence[tuple[list[tuple[int, int]], dict[int, int]]], path: list[list], chosen: list) -> tuple[list, list]:
+    """Build the twin blocks and key each frame of path, a chain of frames
+    from the root, each reached by the pair chosen in the one before; the
+    blocks are returned for the keys of the frames that follow."""
+    span, first = _twin_blocks(views, len(views))
+    key = path[0][3][0]
+    for parent, frame in itertools.pairwise(path):
+        j = parent[1][1]
+        a, b = chosen[j]
+        key ^= 1 << j
+        key |= (key & span[a]) + first[a]
+        key |= (key & span[b]) + first[b]
+        frame[3] = (key, frame[3][1])
+    return span, first
+
+
+def _close_two(views: Sequence[tuple[list[tuple[int, int]], dict[int, int]]], x: tuple, y: tuple, chosen: list) -> int:
+    """Close a frame of two open relations x and y, in index order, in place.
+
+    The fail-first one tries its open pairs in order, one node each; the
+    first that leaves the other relation an open pair ends the frame
+    matched, one node later, at that relation's lowest pair left.  Returns
+    the frame's node count, with both pairs written to chosen, or minus it
+    if no pair leaves the other relation one: a dead frame of two takes one
+    node per pair of its fail-first relation.
+    """
+    if x[0] > y[0]:
+        x, y = y, x
+    pairs = views[x[1]][0]
+    left, masks = y[2], y[3]
+    untried = x[2]
+    nodes = 1
+    while untried:
+        low = untried & -untried
+        pair = pairs[low.bit_length() - 1]
+        keep = left & ~(masks.get(pair[0], 0) | masks.get(pair[1], 0))
+        nodes += 1
+        if keep:
+            chosen[x[1]] = pair
+            chosen[y[1]] = views[y[1]][0][(keep & -keep).bit_length() - 1]
+            return nodes
+        untried ^= low
+    return -x[0]
+
+
 def _search(
     views: Sequence[tuple[list[tuple[int, int]], dict[int, int]]],
     opens: list[tuple],
@@ -100,10 +150,10 @@ def _search(
 ) -> tuple[str, Optional[list[tuple[int, int]]], int]:
     """The search behind both oracles: (outcome, chosen pairs, nodes).
 
-    views[j] is relation j's ``Partition._pair_masks``; opens holds one
-    open tuple per relation, (open pair count, index, open pairs, its
-    elements' masks), in index order.  The chosen pairs, one per relation,
-    come back only on "matched".
+    views[j] is relation j's ``pair_masks``; opens holds one open tuple per
+    relation, (open pair count, index, open pairs, its elements' masks), in
+    index order.  The chosen pairs, one per relation, come back only on
+    "matched".
 
     A relation's open pairs are one int, bit i for its i-th pair in sorted
     order.  Trying the lowest set bit first keeps sorted order; the
@@ -112,6 +162,12 @@ def _search(
     open relation, and one left with none prunes the child.  These are the
     rules the list-based search had, so the nodes, their order and the
     results are the same.
+
+    A frame of two open relations is closed in place (``_close_two``): the
+    root of a two-relation search, and every child of two, which is never
+    pushed.  Its fail-first relation's pairs are tried in a loop against
+    the other relation's open pairs, one node each and one more for the
+    match, so the search's frames all hold three or more relations.
 
     Different orders of earlier choices often reach the same subproblem, so
     the search keeps a table of dead ones.  A frame is keyed by its open
@@ -129,14 +185,16 @@ def _search(
     budget + 1, as the walk would have.  Only dead frames are recorded and a
     dead subtree holds no matching, so outcomes, node counts, matchings and
     budget stops are those of the full walk.
-    Frames with two or more open relations are keyed, and the last level
-    is closed in place: a pair chosen in a frame of two leaves the other
-    relation without pairs or matches at its lowest pair left, so that
-    node is counted and returned without a frame of one.  A subproblem
-    recurs only after two choices made in either order; with four
-    relations only a frame of two can, when the root and second relations
-    share a pair, and on the witness search at n = 4 a table saved no
-    node, so a search of fewer than five relations keeps none.  At
+    Frames with two or more open relations are keyed, those of two closed
+    in place too.  An empty table answers no lookup, so until the first
+    dead frame below the root, frames carry only their node count when
+    pushed; that frame builds the twin blocks and keys the frames on the
+    stack from the pairs chosen on its path (``_key_path``).  A search that
+    matches before any frame dies, as most do, builds neither.
+    A subproblem recurs only after two choices made in either order; with
+    four relations only a frame of two can, when the root and second
+    relations share a pair, and on the witness search at n = 4 a table saved
+    no node, so a search of fewer than five relations keeps none.  At
     ``DEAD_TABLE_CAP`` entries the table is closed: it takes no more, and
     frames pushed after that are not keyed, so the search goes on as a
     plain walk.  A table fills when its subproblems seldom recur,
@@ -144,27 +202,38 @@ def _search(
     one lookup in 75 past the cap hit and a hit saved 1.3 nodes, so
     lookups past the cap made the search 20-35% slower.
     """
-    # A frame holds the open relations in index order, the fail-first one,
-    # its untried pairs, and its mark: (key, node count when pushed), or
-    # None for an unkeyed frame.  Open tuples order as fail-first picks.
-    fewest = min(opens)  # a relation without pairs leaves nothing to try
     limit = math.inf if budget is None else budget
     m = len(views)
     chosen: list[Optional[tuple[int, int]]] = [None] * m
+    if m < 3:
+        if m == 2:
+            nodes = _close_two(views, opens[0], opens[1], chosen)
+        else:  # one relation matches at its lowest pair, if it has one
+            nodes = 1 if opens[0][2] else 0
+            chosen[0] = views[0][0][0] if nodes else None
+        if abs(nodes) > limit:
+            return "budget", None, budget + 1
+        return ("matched", chosen, nodes) if nodes > 0 else ("proven-none", None, -nodes)
+    # A frame holds the open relations in index order, the fail-first one,
+    # its untried pairs, and its mark: (key, node count when pushed), the
+    # key None until the table is first needed, or None for an unkeyed
+    # frame.  Open tuples order as fail-first picks.
+    fewest = min(opens)  # a relation without pairs leaves nothing to try
     nodes = 0
-    mark = None
-    if m > 4:  # fewer relations seldom repeat a frame (see above)
-        dead: dict[int, int] = {}
-        mark = ((1 << m) - 1, 0)
-        span, first = _twin_blocks(views, m)
+    dead: dict[int, int] = {}
+    span = first = None  # the twin blocks, built with the first dead frame's key
+    mark = ((1 << m) - 1, 0) if m > 4 else None  # fewer relations seldom repeat a frame (see above)
     stack = [[opens, fewest, fewest[2], mark]]
     while stack:
         frame = stack[-1]
         opens, rel, untried, mark = frame
         if not untried:
-            stack.pop()
             if mark is not None and len(dead) < DEAD_TABLE_CAP:
+                if mark[0] is None:  # the first dead frame: key the path to it
+                    span, first = _key_path(views, stack, chosen)
+                    mark = frame[3]
                 dead[mark[0]] = nodes - mark[1]
+            stack.pop()
             continue
         low = untried & -untried
         frame[2] = untried ^ low
@@ -172,35 +241,25 @@ def _search(
         if nodes > limit:
             return "budget", None, nodes
         j = rel[1]
-        pair = chosen[j] = views[j][0][low.bit_length() - 1]
-        if len(opens) == 1:
-            return "matched", chosen, nodes
-        a, b = pair
-        if len(opens) == 2:  # the last level, closed in place (see above)
-            other = opens[1] if rel is opens[0] else opens[0]
-            left = other[2] & ~(other[3].get(a, 0) | other[3].get(b, 0))
-            if left:
-                nodes += 1
-                if nodes > limit:
-                    return "budget", None, nodes
-                chosen[other[1]] = views[other[1]][0][(left & -left).bit_length() - 1]
-                return "matched", chosen, nodes
-            continue
+        a, b = chosen[j] = views[j][0][low.bit_length() - 1]
         if mark is not None and len(dead) < DEAD_TABLE_CAP:
-            # a block's used bits are its lowest k, so adding its lowest bit
-            # gives its next: a and b each take the lowest free one
-            key = mark[0] ^ 1 << j
-            key |= (key & span[a]) + first[a]
-            key |= (key & span[b]) + first[b]
-            spent = dead.get(key)
-            if spent is not None:
-                # a dead subtree: count it, and stop inside it where
-                # walking it would pass the budget
-                nodes += spent
-                if nodes > limit:
-                    return "budget", None, budget + 1
-                continue
-            mark = (key, nodes)
+            if span is None:
+                mark = (None, nodes)
+            else:
+                # a block's used bits are its lowest k, so adding its lowest
+                # bit gives its next: a and b each take the lowest free one
+                key = mark[0] ^ 1 << j
+                key |= (key & span[a]) + first[a]
+                key |= (key & span[b]) + first[b]
+                spent = dead.get(key)
+                if spent is not None:
+                    # a dead subtree: count it, and stop inside it where
+                    # walking it would pass the budget
+                    nodes += spent
+                    if nodes > limit:
+                        return "budget", None, budget + 1
+                    continue
+                mark = (key, nodes)
         else:
             mark = None
         child = []
@@ -219,7 +278,21 @@ def _search(
             if fewest is None or other[0] < fewest[0]:
                 fewest = other
         else:
-            stack.append([child, fewest, fewest[2], mark])
+            if len(child) > 2:
+                stack.append([child, fewest, fewest[2], mark])
+                continue
+            spent = _close_two(views, child[0], child[1], chosen)
+            nodes += abs(spent)
+            if nodes > limit:
+                return "budget", None, budget + 1
+            if spent > 0:
+                return "matched", chosen, nodes
+            if mark is not None:  # a dead keyed frame of two
+                if mark[0] is None:
+                    two = [child, fewest, 0, mark]
+                    span, first = _key_path(views, stack + [two], chosen)
+                    mark = two[3]
+                dead[mark[0]] = -spent
     return "proven-none", None, nodes
 
 
@@ -262,6 +335,93 @@ def _shapes(k: int) -> list[tuple[int, ...]]:
     return sorted(tuple([2] * (rem // 2) + [3] * threes) for threes, rem in sizes if rem % 2 == 0)
 
 
+def _candidate(classes: tuple[tuple[int, ...], ...], n: int) -> tuple:
+    """A candidate's pair masks and its open tuple at every relation index."""
+    view = pair_masks(classes)
+    return view, [_open(j, view) for j in range(n)]
+
+
+def _pass(view1: tuple, candidates: list, built: list, n: int, nodes: int, budget: int) -> tuple[int, Optional[tuple]]:
+    """Search one shape's tuples in order, one core call each, until the
+    budget is spent: the nodes then, and the first proven-none tuple."""
+    # slot 0 holds relation 1; each tuple overwrites slots 1..n-1
+    rel_views, opens = [view1] * n, [_open(0, view1)] * n
+    for choice in itertools.combinations_with_replacement(range(len(candidates)), n - 1):
+        if nodes >= budget:
+            break
+        for j, i in enumerate(choice, 1):
+            cand = built[i]
+            if cand is None:
+                cand = built[i] = _candidate(candidates[i], n)
+            rel_views[j] = cand[0]
+            opens[j] = cand[1][j]
+        outcome, _, spent = _search(rel_views, opens, budget - nodes)
+        nodes += spent
+        if outcome == "proven-none":
+            return nodes, choice
+    return nodes, None
+
+
+def _row(view1: tuple, view: tuple, j: int) -> list:
+    """A candidate's open tuple at relation index j after each of relation
+    1's pairs, in order; one without pairs where that pair empties it."""
+    full = _open(j, view)
+    masks = full[3]
+    row = []
+    for a, b in view1[0]:
+        if a in masks or b in masks:
+            left = full[2] & ~(masks.get(a, 0) | masks.get(b, 0))
+            row.append((left.bit_count(), j, left, masks))
+        else:
+            row.append(full)
+    return row
+
+
+def _pass_three(view1: tuple, candidates: list, built: list, nodes: int, budget: int) -> tuple[int, Optional[tuple]]:
+    """``_pass`` for tuples of three relations.  Where relation 1 is the
+    fail-first relation, its pairs are walked here, each live child closed
+    in place, on rows built once per candidate and index for the shape."""
+    rel_views, opens = [view1] * 3, [_open(0, view1)] * 3
+    fewest = len(view1[0])
+    chosen: list = [None] * 3  # the pairs a frame of two matches at; unread
+    rows: list[Optional[list]] = [None] * len(candidates)  # at index 2
+    for i in range(len(candidates)):
+        cand = built[i]
+        if cand is None:
+            cand = built[i] = _candidate(candidates[i], 3)
+        rel_views[1], opens[1] = cand[0], cand[1][1]
+        # None where relation 1 is fail-first in no tuple of this prefix
+        row1 = _row(view1, cand[0], 1) if opens[1][0] >= fewest else None
+        for k in range(i, len(candidates)):
+            if nodes >= budget:
+                return nodes, None
+            cand = built[k]
+            if cand is None:
+                cand = built[k] = _candidate(candidates[k], 3)
+            rel_views[2], opens[2] = cand[0], cand[1][2]
+            if row1 is None or opens[2][0] < fewest:
+                outcome, _, spent = _search(rel_views, opens, budget - nodes)
+            else:
+                row2 = rows[k]
+                if row2 is None:
+                    row2 = rows[k] = _row(view1, cand[0], 2)
+                outcome, spent = "proven-none", 0
+                for x, y in zip(row1, row2):
+                    # relation 1's pair, then its child: a frame of two that
+                    # dies at once where the pair empties a candidate
+                    got = _close_two(rel_views, x, y, chosen)
+                    if got > 0:
+                        outcome, spent = "matched", spent + 1 + got
+                        break
+                    spent += 1 - got
+                if spent > budget - nodes:  # the walk would stop at budget + 1
+                    outcome, spent = "budget", budget - nodes + 1
+            nodes += spent
+            if outcome == "proven-none":
+                return nodes, (i, k)
+    return nodes, None
+
+
 def search_unmatchable(
     n: int,
     kernel_target: int,
@@ -278,13 +438,28 @@ def search_unmatchable(
     relations are chosen in nondecreasing candidate order (relations are
     exchangeable).  The pass stops before a ground size whose estimated
     node count would overrun the budget, or once the budget is spent; then
-    the result is not exhausted.
+    the result is not exhausted.  A negative budget raises ValueError.
+
+    Each tuple of candidates is searched node for node as ``exact_solve``
+    would search its instance, but without building one: the core runs on
+    pair masks built once per candidate, and a ``Partition`` is built only
+    for the witness returned.  A tuple of three relations whose fail-first
+    relation is relation 1, as when no candidate has fewer pairs, is walked
+    by the pass itself (``_pass_three``): one node per pair of relation 1,
+    a dead child where that pair empties a candidate, and each live child, a
+    frame of two, closed in place.  Each candidate's open tuples after
+    relation 1's pairs come from rows built once per candidate, index and
+    shape.  Every other tuple runs the core whole: at n = 2 a candidate
+    takes part in one tuple, so a row would not pay for itself, and at
+    n = 4 each pair of relation 1 would need a core call of its own.
 
     The estimate counts the candidates for one relation, not the nodes of
     a ground size, which grow like that count to the power n - 1.  For
     n >= 2 it therefore does not bound a ground size's nodes, and the
     budget can stop the pass mid-way through one.
     """
+    if budget < 0:
+        raise ValueError(f"negative budget {budget}")
     if n < 1 or kernel_target < 2:
         return SearchResult(None, 0, 0, True)
     nodes = 0
@@ -295,33 +470,23 @@ def search_unmatchable(
         candidates: list[tuple[tuple[int, ...], ...]] = []
         for support in itertools.combinations(range(ground), kernel_target):
             candidates.extend(_partitions_23(support))
-        # each candidate's pair masks and its open tuple at every relation
-        # index, built on first visit and kept for the cell's shapes; a
-        # candidate's Partition is built only for a witness
+        # each candidate's pair masks and open tuples (``_candidate``), built
+        # on first visit and kept for the cell's shapes
         built: list[Optional[tuple]] = [None] * len(candidates)
         for shape in _shapes(kernel_target):
             # relation 1: consecutive blocks realizing the shape
             ends = itertools.accumulate(shape)
-            rel1 = Partition(tuple(range(end - sz, end)) for sz, end in zip(shape, ends))
-            view1 = rel1._pair_masks
-            # slot 0 holds relation 1; each tuple overwrites slots 1..n-1
-            rel_views, opens = [view1] * n, [_open(0, view1)] * n
-            for choice in itertools.combinations_with_replacement(range(len(candidates)), n - 1):
-                if nodes >= budget:
-                    return SearchResult(None, 0, nodes, False)
-                for j, i in enumerate(choice, 1):
-                    cand = built[i]
-                    if cand is None:
-                        view = Partition(candidates[i])._pair_masks
-                        cand = built[i] = (view, [_open(k, view) for k in range(n)])
-                    rel_views[j] = cand[0]
-                    opens[j] = cand[1][j]
-                outcome, _, spent = _search(rel_views, opens, budget - nodes)
-                nodes += spent
-                if outcome == "proven-none":
-                    witness = Instance(ground, [rel1] + [Partition(candidates[i]) for i in choice])
-                    return SearchResult(witness, ground, nodes, False)
-    # a budget spent in the last cell may have cut it short
+            rel1 = tuple(tuple(range(end - sz, end)) for sz, end in zip(shape, ends))
+            view1 = pair_masks(rel1)
+            if n == 3:
+                nodes, choice = _pass_three(view1, candidates, built, nodes, budget)
+            else:
+                nodes, choice = _pass(view1, candidates, built, n, nodes, budget)
+            if choice is not None:
+                witness = Instance(ground, [Partition(rel1)] + [Partition(candidates[i]) for i in choice])
+                return SearchResult(witness, ground, nodes, False)
+            if nodes >= budget:
+                return SearchResult(None, 0, nodes, False)
     return SearchResult(None, 0, nodes, nodes < budget)
 
 

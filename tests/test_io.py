@@ -527,6 +527,15 @@ class TestCli:
     def test_search_none_found_exit_1(self, capsys):
         assert cli.main(["search", "2", "6", "6", "--budget", "100000"]) == 1
 
+    def test_negative_budget_is_a_usage_error(self, tmp_path, capsys):
+        # exit 1 would read as a completed search that found nothing
+        path = self._write(tmp_path, "lb.txt", write_instance(gen_lower_bound_family(3)))
+        for argv in (["search", "3", "8", "12", "--budget", "-1"], ["exact", path, "--budget", "-1"]):
+            assert cli.main(argv) == 64
+            assert capsys.readouterr() == ("", "usage error: argument --budget: negative budget -1\n")
+        assert cli.main(["search", "3", "8", "12", "--budget", "x"]) == 64
+        assert capsys.readouterr() == ("", "usage error: argument --budget: invalid int value: 'x'\n")
+
     def test_search_witness_exit_0(self, capsys):
         assert cli.main(["search", "2", "4", "5", "--budget", "100000"]) == 0
         out, err = capsys.readouterr()
@@ -645,6 +654,13 @@ class TestExperiment:
                     }
                 )
             )
+
+    def test_config_rejects_a_negative_exact_budget(self):
+        from grinblat.errors import GrinblatError
+
+        raw = {"master_seed": 1, "ns": [30], "cs": [8], "trials": 1, "exact_budget": -1}
+        with pytest.raises(GrinblatError, match="negative exact budget"):
+            ExperimentConfig.from_json(json.dumps(raw))
 
     @pytest.mark.parametrize("field, value, message", [
         ("measure_time", "false", "'measure_time' must be a JSON boolean, got 'false'"),

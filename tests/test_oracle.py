@@ -7,6 +7,7 @@ import itertools
 import random
 import sys
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -52,6 +53,12 @@ class TestExactSolve:
         res = exact_solve(gen_lower_bound_family(6), budget=3)
         assert res.outcome == "budget"
         assert res.nodes >= 3
+
+    def test_negative_budget_is_refused(self):
+        # a budget stops the search at budget + 1 nodes, which a negative
+        # one cannot mean
+        with pytest.raises(ValueError, match="negative budget -5"):
+            exact_solve(gen_lower_bound_family(3), budget=-5)
 
     def test_deterministic(self):
         inst = gen_lower_bound_family(4)
